@@ -59,6 +59,20 @@ class TreeFormatError(ValueError):
 # Distributions and restrictions
 # ---------------------------------------------------------------------------
 
+MAX_CODE_BITS = 64
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse dimensions that packed uint64 codes cannot hold.
+
+    Shifts past bit 63 wrap, so a larger n would silently corrupt every
+    code and label; callers that create codes check here first.
+    """
+    if n < 1:
+        raise ValueError("need at least one coordinate")
+    if n > MAX_CODE_BITS:
+        raise ValueError(f"packed codes hold at most {MAX_CODE_BITS} coordinates, got n={n}")
+
 
 @dataclass(frozen=True)
 class ProductDistribution:
@@ -73,8 +87,7 @@ class ProductDistribution:
 
     def __init__(self, biases: Sequence[float]):
         biases = tuple(float(p) for p in biases)
-        if len(biases) < 1:
-            raise ValueError("need at least one coordinate")
+        _check_dimension(len(biases))
         for i, p in enumerate(biases):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"bias {p!r} at coordinate {i} not strictly inside (0,1)")
@@ -369,8 +382,7 @@ def pack_bits(bits: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
     n = arr.shape[1]
-    if n > 64:
-        raise ValueError("packed codes support at most 64 coordinates")
+    _check_dimension(n)
     codes = np.zeros(arr.shape[0], dtype=np.uint64)
     for i in range(n):
         codes |= arr[:, i] << np.uint64(i)
@@ -407,18 +419,52 @@ class TargetOracle:
         return int(self.label_codes(pack_bits(np.asarray(x)))[0])
 
 
+TABLE_MAX_COORDS = 24
+
+
 class TreeOracle(TargetOracle):
-    """Target given explicitly as a labeled decision tree."""
+    """Target given explicitly as a labeled decision tree.
+
+    For n <= ``TABLE_MAX_COORDS`` the first ``label_codes`` call fills the
+    target's dense +/-1 table (at most 2^24 bytes) from the tree's leaf
+    paths, and every call then answers by indexing a
+    :class:`TruthTableOracle`; larger n routes each code through the tree.
+    The table is built lazily, so constructing an oracle stays cheap.  It is
+    the oracle's own evaluation: a label query is still one code passed to
+    ``label_codes``, which is all a :class:`CountingOracle` or a builder's
+    query count sees.
+    """
 
     def __init__(self, tree: DecisionTree, n: int):
+        _check_dimension(n)
         vs = tree_variables(tree)
         if vs and max(vs) >= n:
             raise ValueError(f"tree queries x_{max(vs)} but n={n}")
         self.tree = tree
         self.n = n
+        self._table: TruthTableOracle | None = None
 
     def label_codes(self, codes: np.ndarray) -> np.ndarray:
-        return route_codes(self.tree, codes).astype(np.int8)
+        if self.n > TABLE_MAX_COORDS:
+            return route_codes(self.tree, codes).astype(np.int8)
+        if self._table is None:
+            self._table = TruthTableOracle(_fill_table(self.tree, self.n))
+        return self._table.label_codes(codes)
+
+
+def _fill_table(tree: DecisionTree, n: int) -> np.ndarray:
+    """Dense label table indexed by packed code, one sub-cube per leaf.
+
+    Axis n-1-i of the (2,)*n cube is coordinate i, so the C-order
+    flattening puts the point with code c at index c.
+    """
+    cube = np.empty((2,) * n, dtype=np.int8)
+    for restriction, leaf in leaf_paths(tree):
+        index = [slice(None)] * n
+        for i, b in restriction.items():
+            index[n - 1 - i] = b
+        cube[tuple(index)] = leaf.label
+    return cube.reshape(-1)
 
 
 class TruthTableOracle(TargetOracle):

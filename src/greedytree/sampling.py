@@ -25,6 +25,14 @@ divides by the full per-variable pool size, which makes it an unbiased
 estimator of the true score -- a property the test suite checks by Monte
 Carlo against the exact engine.
 
+So the builder keeps, per leaf and coordinate, only the x codes of the
+pairs whose labels disagree, and a leaf's hit count is the length of that
+array.  A pair that agrees never counts at any leaf, and the global pool
+total it was drawn into is kept separately, so dropping it right after
+labeling leaves every estimate bit-identical.  The redrawn endpoint is not
+needed either: off the leaf's path it routes with x, and on the path the
+pair cannot count.
+
 Termination: label every leaf by majority, count stopping-pool points that
 disagree with their leaf's label, and stop once the total mismatch fraction
 is at most 3/4 of the working accuracy.
@@ -203,45 +211,57 @@ def empirical_error(
 # ---------------------------------------------------------------------------
 
 
-class _PairBucket:
-    """Pairs owned by one leaf for one coordinate: codes of x plus a
-    disagreement flag.  The redrawn endpoint is never needed again: when
-    the coordinate is off the path it routes with x, and when it is on the
-    path the pair cannot contribute."""
+_NO_CODES = np.empty(0, dtype=np.uint64)
+_NO_LABELS = np.empty(0, dtype=np.int8)
 
-    __slots__ = ("codes", "disagree", "hits")
 
-    def __init__(self, codes: np.ndarray, disagree: np.ndarray):
+def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
+    return ((codes >> np.uint64(coord)) & np.uint64(1)).astype(bool)
+
+
+class _LabeledPool:
+    """Labeled points owned by one leaf, with the count of +1 labels."""
+
+    __slots__ = ("codes", "labels", "positives")
+
+    def __init__(self, codes: np.ndarray = _NO_CODES, labels: np.ndarray = _NO_LABELS):
         self.codes = codes
-        self.disagree = disagree
-        self.hits = int(np.count_nonzero(disagree))
+        self.labels = labels
+        self.positives = int(np.count_nonzero(labels > 0))
 
-    def append(self, codes: np.ndarray, disagree: np.ndarray) -> None:
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def append(self, codes: np.ndarray, labels: np.ndarray) -> None:
         self.codes = np.concatenate([self.codes, codes])
-        self.disagree = np.concatenate([self.disagree, disagree])
-        self.hits += int(np.count_nonzero(disagree))
+        self.labels = np.concatenate([self.labels, labels])
+        self.positives += int(np.count_nonzero(labels > 0))
+
+    def split(self, coord: int) -> tuple["_LabeledPool", "_LabeledPool"]:
+        """The points with x_coord = 0, then those with x_coord = 1."""
+        side = _bit(self.codes, coord)
+        return (_LabeledPool(self.codes[~side], self.labels[~side]),
+                _LabeledPool(self.codes[side], self.labels[side]))
 
 
+@dataclass
 class _LeafState:
-    __slots__ = ("path", "ll_codes", "ll_labels", "ll_pos", "ee_codes", "ee_labels", "ee_pos", "pairs")
+    """One leaf's share of the pools: the labeling pool ``ll``, the
+    stopping-test pool ``ee``, and per coordinate the x codes of the
+    disagreeing pairs, whose count is the leaf's hit count."""
 
-    def __init__(self, path: frozenset[int], n: int):
-        self.path = path
-        self.ll_codes = np.empty(0, dtype=np.uint64)
-        self.ll_labels = np.empty(0, dtype=np.int8)
-        self.ll_pos = 0
-        self.ee_codes = np.empty(0, dtype=np.uint64)
-        self.ee_labels = np.empty(0, dtype=np.int8)
-        self.ee_pos = 0
-        self.pairs = {i: _PairBucket(np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool)) for i in range(n)}
+    path: frozenset[int]
+    ll: _LabeledPool
+    ee: _LabeledPool
+    pairs: dict[int, np.ndarray]
 
     @property
     def label(self) -> int:
-        return 1 if 2 * self.ll_pos >= len(self.ll_labels) else -1
+        return 1 if 2 * self.ll.positives >= len(self.ll) else -1
 
     @property
     def mismatches(self) -> int:
-        return len(self.ee_labels) - self.ee_pos if self.label == 1 else self.ee_pos
+        return len(self.ee) - self.ee.positives if self.label == 1 else self.ee.positives
 
 
 @dataclass(frozen=True)
@@ -333,7 +353,7 @@ def build_topdown_practical(
         max_splits = 1 << min(n, 62)
 
     bare = BareTree(BareLeaf(0))
-    states: dict[int, _LeafState] = {0: _LeafState(frozenset(), n)}
+    states = {0: _LeafState(frozenset(), _LabeledPool(), _LabeledPool(), dict.fromkeys(range(n), _NO_CODES))}
     next_id = 1
     pool_totals = {i: 0 for i in range(n)}
     label_queries = 0
@@ -350,57 +370,45 @@ def build_topdown_practical(
         d_ee = error_schedule(j, epsilon, delta) - prev_ee
         d_pairs = pair_schedule(j, delta, epsilon, n) - prev_pairs
 
-        if d_ll > 0:
-            rng = _stream(seed, _LL_STREAM, j)
-            codes = dist.draw_codes(rng, d_ll)
+        for pool, count, key in (("ll", d_ll, _LL_STREAM), ("ee", d_ee, _EE_STREAM)):
+            if count <= 0:
+                continue
+            codes = dist.draw_codes(_stream(seed, key, j), count)
             labels = oracle.label_codes(codes)
-            label_queries += d_ll
-            random_draws += d_ll
+            label_queries += count
+            random_draws += count
             for leaf_id, idx in _group_by_leaf(route_codes(bare, codes)).items():
-                st = states[leaf_id]
-                st.ll_codes = np.concatenate([st.ll_codes, codes[idx]])
-                st.ll_labels = np.concatenate([st.ll_labels, labels[idx]])
-                st.ll_pos += int(np.count_nonzero(labels[idx] > 0))
-        if d_ee > 0:
-            rng = _stream(seed, _EE_STREAM, j)
-            codes = dist.draw_codes(rng, d_ee)
-            labels = oracle.label_codes(codes)
-            label_queries += d_ee
-            random_draws += d_ee
-            for leaf_id, idx in _group_by_leaf(route_codes(bare, codes)).items():
-                st = states[leaf_id]
-                st.ee_codes = np.concatenate([st.ee_codes, codes[idx]])
-                st.ee_labels = np.concatenate([st.ee_labels, labels[idx]])
-                st.ee_pos += int(np.count_nonzero(labels[idx] > 0))
+                getattr(states[leaf_id], pool).append(codes[idx], labels[idx])
         if d_pairs > 0:
             for i in range(n):
                 batch = draw_pair_batch(oracle, dist, i, _stream(seed, _PAIR_STREAM, j, i), d_pairs)
                 label_queries += 2 * d_pairs
                 random_draws += 2 * d_pairs
-                disagree = batch.x_labels != batch.alt_labels
-                for leaf_id, idx in _group_by_leaf(route_codes(bare, batch.x_codes)).items():
-                    states[leaf_id].pairs[i].append(batch.x_codes[idx], disagree[idx])
+                hits = batch.x_codes[batch.x_labels != batch.alt_labels]
+                for leaf_id, idx in _group_by_leaf(route_codes(bare, hits)).items():
+                    pairs = states[leaf_id].pairs
+                    pairs[i] = np.concatenate([pairs[i], hits[idx]])
                 pool_totals[i] += d_pairs
+        usage.append(
+            UsageRow(
+                step=j,
+                leaves=len(states),
+                pair_floor=pair_schedule(j, delta, epsilon, n),
+                labeling_floor=labeling_schedule(j, epsilon, delta),
+                error_floor=error_schedule(j, epsilon, delta),
+                label_queries=label_queries,
+                random_draws=random_draws,
+            )
+        )
 
     j = 1
     replenish(0, 1)
-    usage.append(
-        UsageRow(
-            step=1,
-            leaves=1,
-            pair_floor=pair_schedule(1, delta, epsilon, n),
-            labeling_floor=labeling_schedule(1, epsilon, delta),
-            error_floor=error_schedule(1, epsilon, delta),
-            label_queries=label_queries,
-            random_draws=random_draws,
-        )
-    )
 
     terminated = False
     stop_reason = "stopping_test"
     while True:
         mismatches = sum(st.mismatches for st in states.values())
-        error_samples = sum(len(st.ee_labels) for st in states.values())
+        error_samples = sum(len(st.ee) for st in states.values())
         if mismatches <= 0.75 * epsilon * error_samples:
             steps.append(
                 PracticalStep(j, len(states), mismatches, error_samples, True, None, None, None)
@@ -420,7 +428,7 @@ def build_topdown_practical(
             for i in range(n):
                 if i in st.path:
                     continue
-                est = st.pairs[i].hits / pool_totals[i]
+                est = len(st.pairs[i]) / pool_totals[i]
                 if best is None or est > best[0]:
                     best = (est, leaf_id, i)
         if best is None:
@@ -439,38 +447,18 @@ def build_topdown_practical(
         next_id += 2
         bare = split_leaf(bare, split_id, coord, lo_id, hi_id)
         parent = states.pop(split_id)
-        lo = _LeafState(parent.path | {coord}, n)
-        hi = _LeafState(parent.path | {coord}, n)
-        side = ((parent.ll_codes >> np.uint64(coord)) & np.uint64(1)).astype(bool)
-        for st, mask in ((lo, ~side), (hi, side)):
-            st.ll_codes = parent.ll_codes[mask]
-            st.ll_labels = parent.ll_labels[mask]
-            st.ll_pos = int(np.count_nonzero(st.ll_labels > 0))
-        side = ((parent.ee_codes >> np.uint64(coord)) & np.uint64(1)).astype(bool)
-        for st, mask in ((lo, ~side), (hi, side)):
-            st.ee_codes = parent.ee_codes[mask]
-            st.ee_labels = parent.ee_labels[mask]
-            st.ee_pos = int(np.count_nonzero(st.ee_labels > 0))
-        for i, bucket in parent.pairs.items():
-            side = ((bucket.codes >> np.uint64(coord)) & np.uint64(1)).astype(bool)
-            lo.pairs[i] = _PairBucket(bucket.codes[~side], bucket.disagree[~side])
-            hi.pairs[i] = _PairBucket(bucket.codes[side], bucket.disagree[side])
-        states[lo_id] = lo
-        states[hi_id] = hi
+        path = parent.path | {coord}
+        ll_lo, ll_hi = parent.ll.split(coord)
+        ee_lo, ee_hi = parent.ee.split(coord)
+        pairs_lo, pairs_hi = {}, {}
+        for i, codes in parent.pairs.items():
+            side = _bit(codes, coord)
+            pairs_lo[i], pairs_hi[i] = codes[~side], codes[side]
+        states[lo_id] = _LeafState(path, ll_lo, ee_lo, pairs_lo)
+        states[hi_id] = _LeafState(path, ll_hi, ee_hi, pairs_hi)
 
         j += 1
         replenish(j - 1, j)
-        usage.append(
-            UsageRow(
-                step=j,
-                leaves=len(states),
-                pair_floor=pair_schedule(j, delta, epsilon, n),
-                labeling_floor=labeling_schedule(j, epsilon, delta),
-                error_floor=error_schedule(j, epsilon, delta),
-                label_queries=label_queries,
-                random_draws=random_draws,
-            )
-        )
 
     labels = {leaf_id: st.label for leaf_id, st in states.items()}
 

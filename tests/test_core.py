@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedytree.core import (
+    TABLE_MAX_COORDS,
     BareLeaf,
+    CountingOracle,
     BareTree,
     DecisionTree,
     Internal,
@@ -32,7 +34,7 @@ from greedytree.core import (
     split_leaf,
     unpack_bits,
 )
-from greedytree.targets import generate_path_target, generate_random_tree
+from greedytree.targets import generate_balanced_target, generate_path_target, generate_random_tree
 
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
 DEPTH2 = DecisionTree(
@@ -296,6 +298,63 @@ class TestOracles:
     def test_tree_oracle_dimension_check(self):
         with pytest.raises(ValueError):
             TreeOracle(DEPTH2, 1)
+
+    @staticmethod
+    def _trees(n: int, rng: np.random.Generator) -> list[DecisionTree]:
+        """Constant, balanced, path and random trees, plus dictators on the
+        lowest and highest coordinate; most of them skip variables."""
+        return [
+            DecisionTree(Leaf(1)),
+            DecisionTree(Leaf(-1)),
+            DecisionTree(Internal(0, Leaf(1), Leaf(-1))),
+            DecisionTree(Internal(n - 1, Leaf(-1), Leaf(1))),
+            generate_balanced_target(min(n, 4), n, rng),
+            generate_path_target(n, rng),
+            generate_random_tree(n, min(n, 6), rng),
+            generate_random_tree(n, min(n, 6), rng),
+        ]
+
+    def _assert_labels_route(self, n: int, codes: np.ndarray, rng: np.random.Generator) -> None:
+        for tree in self._trees(n, rng):
+            oracle = TreeOracle(tree, n)
+            got = oracle.label_codes(codes)
+            want = route_codes(tree, codes).astype(np.int8)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            # Repeated calls answer from the same table.
+            assert np.array_equal(oracle.label_codes(codes[::-1]), want[::-1])
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_table_labels_equal_routing_on_every_code(self, n):
+        self._assert_labels_route(n, np.arange(1 << n, dtype=np.uint64), np.random.default_rng(n))
+
+    @pytest.mark.parametrize("n", [TABLE_MAX_COORDS, TABLE_MAX_COORDS + 1, 64])
+    def test_labels_equal_routing_on_sampled_codes(self, n):
+        rng = np.random.default_rng(n)
+        codes = ProductDistribution([0.3] * n).draw_codes(rng, 20_000)
+        self._assert_labels_route(n, codes, rng)
+
+    def test_counting_oracle_counts_only_passed_codes(self):
+        tree = generate_random_tree(12, 6, np.random.default_rng(0))
+        oracle = CountingOracle(TreeOracle(tree, 12))
+        oracle.label_codes(np.arange(10, dtype=np.uint64))
+        assert oracle.queries == 10
+        oracle.label_codes(np.arange(5, dtype=np.uint64))
+        assert oracle.queries == 15
+
+    def test_top_coordinate_of_64(self):
+        dist = ProductDistribution([0.5] * 64)
+        oracle = TreeOracle(DecisionTree(Internal(63, Leaf(-1), Leaf(1))), 64)
+        codes = dist.draw_codes(np.random.default_rng(0), 1000)
+        labels = oracle.label_codes(codes)
+        assert set(labels.tolist()) == {-1, 1}
+        assert np.array_equal(labels > 0, (codes >> np.uint64(63)) == 1)
+
+    def test_dimension_above_64_refused(self):
+        with pytest.raises(ValueError, match="at most 64 coordinates"):
+            ProductDistribution([0.5] * 65)
+        with pytest.raises(ValueError, match="at most 64 coordinates"):
+            TreeOracle(DICTATOR, 65)
 
     def test_truth_table_oracle(self):
         table = np.array([1, -1, -1, 1], dtype=np.int8)
