@@ -1,8 +1,9 @@
 """Greedy top-down decision-tree induction for Boolean targets on product spaces.
 
-Two builders share the same greedy skeleton: :func:`build_topdown_exact`
-scores leaves with exactly computed coordinate influences, while
-:func:`build_topdown_practical` is fully sample-driven and parameter-free.
+Two builders follow the same greedy rule in separate loops:
+:func:`build_topdown_exact` scores leaves with exactly computed coordinate
+influences, while :func:`build_topdown_practical` is fully sample-driven
+and parameter-free.
 The :mod:`greedytree.exact` module provides the enumeration-based measure
 engine, :mod:`greedytree.verify` the brute-force property checkers, and
 :mod:`greedytree.cli` the experiment harness.

@@ -35,6 +35,7 @@ __all__ = [
     "TreeOracle",
     "TruthTableOracle",
     "average_depth",
+    "label_leaves",
     "leaf_paths",
     "max_depth",
     "pack_bits",
@@ -336,6 +337,18 @@ def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -
     if not found:
         raise KeyError(f"no leaf with identifier {leaf_id}")
     return BareTree(new_root)
+
+
+def label_leaves(bare: BareTree, labels: Mapping[int, int]) -> DecisionTree:
+    """The labeled tree of ``bare`` whose leaf ``id`` carries ``labels[id]``."""
+
+    def walk(node: Node) -> Node:
+        if isinstance(node, Internal):
+            return Internal(node.var, walk(node.lo), walk(node.hi))
+        assert isinstance(node, BareLeaf)
+        return Leaf(labels[node.id])
+
+    return DecisionTree(walk(bare.root))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ which has the closed form 2 p_i (1 - p_i) * Pr[f(..,x_i=0) != f(..,x_i=1)]:
 the redrawn bit must actually change (probability 2 p_i (1 - p_i)) and the
 change must matter.  The test suite checks this closed form against a direct
 enumeration of the defining probability.  The flip-based variant, which
-drops the 2 p q factor, is also exposed; the two differ materially away
-from the uniform distribution and the verification suite records which
+drops the 2 p q factor, is computed alongside it; the two differ materially
+away from the uniform distribution and the verification suite records which
 inequalities hold for which variant.
 
 Enumeration refuses instances with more than ``DEFAULT_MAX_FREE_COORDS``
@@ -27,15 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BareLeaf,
     BareTree,
     DecisionTree,
-    Internal,
-    Leaf,
-    Node,
     ProductDistribution,
     Restriction,
     TargetOracle,
+    label_leaves,
     leaf_paths,
     route_codes,
 )
@@ -43,21 +40,16 @@ from .core import (
 __all__ = [
     "DEFAULT_MAX_FREE_COORDS",
     "EnumerationLimitError",
+    "LeafInfo",
     "SubfunctionView",
     "SubfunctionSummary",
+    "completion_labels",
     "cost",
     "f_completion",
-    "completion_labels",
-    "flip_influence",
-    "influence",
-    "influences",
-    "leaf_error",
+    "leaf_info",
     "positive_mass",
-    "score",
     "subfunction_summary",
-    "total_influence",
     "tree_error",
-    "variance",
 ]
 
 DEFAULT_MAX_FREE_COORDS = 24
@@ -120,7 +112,8 @@ def _enumerate(view: SubfunctionView, dist: ProductDistribution, max_free: int):
 
 @dataclass(frozen=True)
 class SubfunctionSummary:
-    """Everything the greedy builder needs about one leaf's subfunction."""
+    """Positive mass and every coordinate's influence, re-randomization and
+    flip forms (exactly 0 on restricted coordinates), of one subfunction."""
 
     positive_mass: float
     influences: np.ndarray
@@ -166,63 +159,6 @@ def subfunction_summary(
     return SubfunctionSummary(mu_plus, infl, flip)
 
 
-# ---------------------------------------------------------------------------
-# Pointwise operations (thin wrappers over the summary)
-# ---------------------------------------------------------------------------
-
-
-def influence(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    i: int,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
-    """Re-randomization influence of coordinate i on the subfunction.
-
-    Lies in [0, 1/2] since 2p(1-p) <= 1/2; exactly 0 for a restricted
-    coordinate.
-    """
-    if not 0 <= i < view.n:
-        raise ValueError(f"coordinate {i} out of range for n={view.n}")
-    if i in view.restriction:
-        return 0.0
-    return float(subfunction_summary(view, dist, max_free).influences[i])
-
-
-def flip_influence(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    i: int,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
-    """Probability that forcing coordinate i to its two values disagrees.
-
-    This is the bit-flip notion of influence (no 2p(1-p) factor); kept for
-    the verification suite's normalization probes.
-    """
-    if not 0 <= i < view.n:
-        raise ValueError(f"coordinate {i} out of range for n={view.n}")
-    if i in view.restriction:
-        return 0.0
-    return float(subfunction_summary(view, dist, max_free).flip_influences[i])
-
-
-def influences(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> np.ndarray:
-    return subfunction_summary(view, dist, max_free).influences
-
-
-def total_influence(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
-    return subfunction_summary(view, dist, max_free).total_influence
-
-
 def positive_mass(
     view: SubfunctionView,
     dist: ProductDistribution,
@@ -234,63 +170,53 @@ def positive_mass(
     return float(np.sum(weights[labels > 0]))
 
 
-def variance(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
-    """Variance of the +/-1 subfunction: 4 mu (1 - mu), mu = Pr[f = +1]."""
-    mu = positive_mass(view, dist, max_free)
-    return 4.0 * mu * (1.0 - mu)
-
-
-def leaf_error(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
-    """Minority class mass: the best any constant label can do here."""
-    mu = positive_mass(view, dist, max_free)
-    return min(mu, 1.0 - mu)
-
-
 # ---------------------------------------------------------------------------
 # Bare-tree quantities
 # ---------------------------------------------------------------------------
 
 
-def _leaf_views(bare: BareTree, oracle: TargetOracle) -> list[tuple[int, Restriction, SubfunctionView]]:
-    out = []
-    for restriction, leaf in leaf_paths(bare):
-        assert isinstance(leaf, BareLeaf)
-        out.append((leaf.id, restriction, SubfunctionView(oracle, restriction)))
-    return out
+@dataclass(frozen=True)
+class LeafInfo:
+    """What the greedy step needs about one leaf of a bare tree."""
+
+    restriction: Restriction
+    reach: float
+    mu_plus: float
+    leaf_cost: float  # reach * total influence
+    score: float  # reach * largest influence
+    coord: int  # coordinate of the largest influence; -1 with none free
+
+    @property
+    def error_mass(self) -> float:
+        return self.reach * min(self.mu_plus, 1.0 - self.mu_plus)
 
 
-def score(
-    bare: BareTree,
-    leaf_id: int,
+def leaf_info(
     oracle: TargetOracle,
     dist: ProductDistribution,
+    restriction: Restriction,
     max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> tuple[float, int]:
-    """Reach probability times the leaf's largest coordinate influence.
-
-    Returns ``(value, coordinate)`` with ties broken toward the lowest
-    coordinate index.  A leaf with no free coordinates scores 0 and reports
-    coordinate -1.
-    """
-    for lid, restriction, view in _leaf_views(bare, oracle):
-        if lid != leaf_id:
-            continue
-        free = view.free_coords()
-        p_v = dist.reach_probability(restriction)
-        if not free:
-            return 0.0, -1
-        infl = subfunction_summary(view, dist, max_free).influences
-        best = max(free, key=lambda i: (infl[i], -i))
-        return p_v * float(infl[best]), best
-    raise KeyError(f"no leaf with identifier {leaf_id}")
+) -> LeafInfo:
+    """Reach, positive mass, cost and score of the leaf at ``restriction``.
+    Ties in influence go to the lowest coordinate; with no free coordinate
+    the score is 0 at coordinate -1."""
+    view = SubfunctionView(oracle, restriction)
+    summary = subfunction_summary(view, dist, max_free)
+    reach = dist.reach_probability(restriction)
+    free = view.free_coords()
+    if free:
+        best = max(free, key=lambda i: (summary.influences[i], -i))
+        score = reach * float(summary.influences[best])
+    else:
+        best, score = -1, 0.0
+    return LeafInfo(
+        restriction=restriction,
+        reach=reach,
+        mu_plus=summary.positive_mass,
+        leaf_cost=reach * summary.total_influence,
+        score=score,
+        coord=best,
+    )
 
 
 def cost(
@@ -304,11 +230,10 @@ def cost(
     This potential decreases by exactly the split leaf's score at every
     greedy step, and upper-bounds the completion's error.
     """
-    total = 0.0
-    for _, restriction, view in _leaf_views(bare, oracle):
-        summary = subfunction_summary(view, dist, max_free)
-        total += dist.reach_probability(restriction) * summary.total_influence
-    return total
+    return sum(
+        leaf_info(oracle, dist, restriction, max_free).leaf_cost
+        for restriction, _ in leaf_paths(bare)
+    )
 
 
 def completion_labels(
@@ -319,9 +244,9 @@ def completion_labels(
 ) -> dict[int, int]:
     """Conditional majority label per leaf; exact ties resolve to +1."""
     labels: dict[int, int] = {}
-    for lid, _, view in _leaf_views(bare, oracle):
-        mu = positive_mass(view, dist, max_free)
-        labels[lid] = 1 if mu >= 0.5 else -1
+    for restriction, leaf in leaf_paths(bare):
+        mu = positive_mass(SubfunctionView(oracle, restriction), dist, max_free)
+        labels[leaf.id] = 1 if mu >= 0.5 else -1
     return labels
 
 
@@ -336,15 +261,7 @@ def f_completion(
     Among all labelings of this bare tree, the result minimizes the exact
     disagreement probability with the target.
     """
-    labels = completion_labels(bare, oracle, dist, max_free)
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Internal):
-            return Internal(node.var, walk(node.lo), walk(node.hi))
-        assert isinstance(node, BareLeaf)
-        return Leaf(labels[node.id])
-
-    return DecisionTree(walk(bare.root))
+    return label_leaves(bare, completion_labels(bare, oracle, dist, max_free))
 
 
 def tree_error(

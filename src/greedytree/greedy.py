@@ -28,15 +28,14 @@ from .core import (
     TargetOracle,
     TreeOracle,
     average_depth,
+    label_leaves,
     max_depth,
     split_leaf,
 )
-from .exact import (
-    DEFAULT_MAX_FREE_COORDS,
-    SubfunctionView,
-    f_completion,
-    subfunction_summary,
-)
+from .exact import DEFAULT_MAX_FREE_COORDS, LeafInfo, leaf_info
+
+# Unused here; perfbench/layers.py looks both names up on this module.
+from .exact import f_completion, subfunction_summary  # noqa: F401
 
 __all__ = [
     "GreedyStep",
@@ -87,45 +86,6 @@ def size_bound_log(epsilon: float, depth: int, avg_depth: float) -> float:
     return max(dd * (1.0 + math.log(avg_depth) - math.log(epsilon) - math.log(depth)), dd)
 
 
-@dataclass
-class _LeafInfo:
-    restriction: Restriction
-    reach: float
-    mu_plus: float
-    leaf_cost: float  # reach * total influence
-    score: float
-    coord: int
-
-    @property
-    def error_mass(self) -> float:
-        return self.reach * min(self.mu_plus, 1.0 - self.mu_plus)
-
-
-def _leaf_info(
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    restriction: Restriction,
-    max_free: int,
-) -> _LeafInfo:
-    view = SubfunctionView(oracle, restriction)
-    summary = subfunction_summary(view, dist, max_free)
-    reach = dist.reach_probability(restriction)
-    free = view.free_coords()
-    if free:
-        best = max(free, key=lambda i: (summary.influences[i], -i))
-        score = reach * float(summary.influences[best])
-    else:
-        best, score = -1, 0.0
-    return _LeafInfo(
-        restriction=restriction,
-        reach=reach,
-        mu_plus=summary.positive_mass,
-        leaf_cost=reach * summary.total_influence,
-        score=score,
-        coord=best,
-    )
-
-
 def build_topdown_exact(
     target: DecisionTree | TargetOracle,
     dist: ProductDistribution,
@@ -159,7 +119,7 @@ def build_topdown_exact(
         else:
             max_splits = structural
 
-    leaves: dict[int, _LeafInfo] = {0: _leaf_info(oracle, dist, Restriction(), max_free)}
+    leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction(), max_free)}
     bare = BareTree(BareLeaf(0))
     next_id = 1
     steps: list[GreedyStep] = []
@@ -187,8 +147,8 @@ def build_topdown_exact(
         next_id += 2
         bare = split_leaf(bare, best_id, best.coord, lo_id, hi_id)
         del leaves[best_id]
-        leaves[lo_id] = _leaf_info(oracle, dist, best.restriction.extend(best.coord, 0), max_free)
-        leaves[hi_id] = _leaf_info(oracle, dist, best.restriction.extend(best.coord, 1), max_free)
+        leaves[lo_id] = leaf_info(oracle, dist, best.restriction.extend(best.coord, 0), max_free)
+        leaves[hi_id] = leaf_info(oracle, dist, best.restriction.extend(best.coord, 1), max_free)
         cost_after = sum(info.leaf_cost for info in leaves.values())
 
         steps.append(
@@ -204,9 +164,10 @@ def build_topdown_exact(
             )
         )
 
-    tree = f_completion(bare, oracle, dist, max_free)
+    # f_completion's labels, from the positive masses already held: ties go to +1
+    labels = {lid: 1 if info.mu_plus >= 0.5 else -1 for lid, info in leaves.items()}
     return GreedyResult(
-        tree=tree,
+        tree=label_leaves(bare, labels),
         bare=bare,
         steps=tuple(steps),
         terminated=terminated,

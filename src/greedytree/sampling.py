@@ -50,11 +50,9 @@ from .core import (
     BareLeaf,
     BareTree,
     DecisionTree,
-    Internal,
-    Leaf,
-    Node,
     ProductDistribution,
     TargetOracle,
+    label_leaves,
     route_codes,
     split_leaf,
     unpack_bits,
@@ -460,16 +458,8 @@ def build_topdown_practical(
         j += 1
         replenish(j - 1, j)
 
-    labels = {leaf_id: st.label for leaf_id, st in states.items()}
-
-    def relabel(node: Node) -> Node:
-        if isinstance(node, Internal):
-            return Internal(node.var, relabel(node.lo), relabel(node.hi))
-        assert isinstance(node, BareLeaf)
-        return Leaf(labels[node.id])
-
     return PracticalResult(
-        tree=DecisionTree(relabel(bare.root)),
+        tree=label_leaves(bare, {leaf_id: st.label for leaf_id, st in states.items()}),
         bare=bare,
         steps=tuple(steps),
         usage=tuple(usage),

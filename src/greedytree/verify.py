@@ -55,7 +55,8 @@ At j = 1 this is the factor-2 root bound above.  The nominal floor
 dictators break it at the root.  Neither is its half, eps / (j * Delta):
 Delta bounds the depth below the leaves only on average.  The gated
 majority x0 ? maj(x1..x5) : -1 with Pr[x0 = 1] = 0.01 and eps = 0.0045
-breaks it at j = 2, where the best score is 0.001875 < 0.00216.
+breaks it at j = 2, where the best score is 0.001875 < 0.00216.  The
+checker therefore counts nominal-floor violations without failing on them.
 """
 
 from __future__ import annotations
@@ -204,16 +205,11 @@ def generate_instance(
 # ---------------------------------------------------------------------------
 
 
-def _function_stats(instance: Instance):
-    summary = subfunction_summary(SubfunctionView(instance.oracle), instance.dist)
-    return summary
-
-
 def check_total_influence_bounds(instance: Instance) -> CheckReport:
     """Total influence is at most depth * variance and at most the average
     depth of the target's tree."""
     assert instance.target_tree is not None, "needs the target as a tree"
-    s = _function_stats(instance)
+    s = subfunction_summary(SubfunctionView(instance.oracle), instance.dist)
     d = max_depth(instance.target_tree)
     avg = average_depth(instance.target_tree, instance.dist)
     total = s.total_influence
@@ -230,7 +226,7 @@ def check_total_influence_bounds(instance: Instance) -> CheckReport:
 def check_influence_error_variance_chain(instance: Instance) -> CheckReport:
     """Every coordinate influence is at most twice the best constant-label
     error, which is at most half the variance."""
-    s = _function_stats(instance)
+    s = subfunction_summary(SubfunctionView(instance.oracle), instance.dist)
     worst = float(np.max(s.influences)) if len(s.influences) else 0.0
     ok_first = worst <= 2.0 * s.error + IDENTITY_TOL
     ok_second = 2.0 * s.error <= s.variance + IDENTITY_TOL
@@ -251,7 +247,7 @@ def check_max_influence_bound(instance: Instance) -> CheckReport:
     is recorded, not required; the uniform dictator refutes it.
     """
     assert instance.target_tree is not None, "needs the target as a tree"
-    s = _function_stats(instance)
+    s = subfunction_summary(SubfunctionView(instance.oracle), instance.dist)
     avg = average_depth(instance.target_tree, instance.dist)
     max_flip = float(np.max(s.flip_influences)) if len(s.flip_influences) else 0.0
     max_rr = float(np.max(s.influences)) if len(s.influences) else 0.0
@@ -376,13 +372,12 @@ def check_score_lower_bounds(
     completion_error / (avg_depth + (j - 1) * depth), the OSSS floor
     derived in the module docstring, and at least
     cost / (j * depth * avg_depth).  A step below either fails the report
-    with a "below ... floor" detail.
+    with a "below ... floor" detail; nothing else fails it.
 
     The nominal floor 2 * eps / (j * avg_depth), applied while the
     completion error exceeds epsilon, is no theorem here (biased dictators
-    break it).  Its violations are counted in the detail, and a nonzero
-    count also fails the report, so the property suite flags the
-    instances that break it.
+    break it), so its violations are only counted in the detail of a
+    passing report.
     """
     d_opt = max_depth(ground_truth)
     avg_opt = average_depth(ground_truth, instance.dist)
@@ -411,12 +406,8 @@ def check_score_lower_bounds(
                 f"step {step.step}: score {step.score:.12g} below cost floor {floor:.12g}",
                 _witness(instance),
             )
-    passed = nominal_violations == 0
     detail = f"{len(result.steps)} steps, nominal_error_floor_violations={nominal_violations}"
-    return CheckReport(
-        "score_lower_bounds", instance.seed, passed, detail,
-        None if passed else _witness(instance),
-    )
+    return CheckReport("score_lower_bounds", instance.seed, True, detail, None)
 
 
 def check_size_bound(

@@ -20,6 +20,7 @@ from greedytree.core import (
     Restriction,
     TreeOracle,
     TruthTableOracle,
+    leaf_paths,
     route,
 )
 from greedytree.exact import (
@@ -27,15 +28,10 @@ from greedytree.exact import (
     SubfunctionView,
     cost,
     f_completion,
-    flip_influence,
-    influence,
-    influences,
-    leaf_error,
+    leaf_info,
     positive_mass,
-    score,
-    total_influence,
+    subfunction_summary,
     tree_error,
-    variance,
 )
 from greedytree.targets import generate_random_tree, generate_truth_table
 
@@ -76,24 +72,28 @@ def definitional_influence(label, n, biases, i, fixed=None):
     return total
 
 
+def summary_of(tree: DecisionTree, dist: ProductDistribution, fixed=None):
+    view = SubfunctionView(oracle_of(tree, dist.n), Restriction(fixed or {}))
+    return subfunction_summary(view, dist)
+
+
 class TestInfluence:
     def test_constant_function(self):
-        view = SubfunctionView(oracle_of(CONST2, 2))
-        assert influence(view, UNIFORM2, 0) == 0.0
-        assert influence(view, UNIFORM2, 1) == 0.0
+        s = summary_of(CONST2, UNIFORM2)
+        assert s.influences[0] == 0.0
+        assert s.influences[1] == 0.0
 
     def test_dictator_uniform(self):
-        view = SubfunctionView(oracle_of(DICTATOR, 2))
-        assert influence(view, UNIFORM2, 0) == pytest.approx(0.5, abs=1e-15)
+        assert summary_of(DICTATOR, UNIFORM2).influences[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_and_uniform(self):
         # disagreement between the two settings of x_0 only when x_1 = 1
-        view = SubfunctionView(oracle_of(AND2, 2))
-        assert influence(view, UNIFORM2, 0) == pytest.approx(0.25, abs=1e-15)
+        assert summary_of(AND2, UNIFORM2).influences[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_restricted_coordinate_is_exactly_zero(self):
-        view = SubfunctionView(oracle_of(AND2, 2), Restriction({0: 1}))
-        assert influence(view, UNIFORM2, 0) == 0.0
+        s = summary_of(AND2, UNIFORM2, {0: 1})
+        assert s.influences[0] == 0.0
+        assert s.flip_influences[0] == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(3)
@@ -101,7 +101,7 @@ class TestInfluence:
             n = int(rng.integers(1, 6))
             oracle = generate_truth_table(n, rng)
             dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
-            vals = influences(SubfunctionView(oracle), dist)
+            vals = subfunction_summary(SubfunctionView(oracle), dist).influences
             assert np.all(vals >= 0.0) and np.all(vals <= 0.5 + 1e-15)
 
     def test_closed_form_equals_definitional_enumeration(self):
@@ -114,10 +114,10 @@ class TestInfluence:
             def label(x):
                 return oracle.label(list(x))
 
-            view = SubfunctionView(oracle)
+            vals = subfunction_summary(SubfunctionView(oracle), dist).influences
             for i in range(n):
                 expected = definitional_influence(label, n, dist.biases, i)
-                assert influence(view, dist, i) == pytest.approx(expected, abs=1e-12)
+                assert vals[i] == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_equals_definitional_under_restriction(self):
         rng = np.random.default_rng(23)
@@ -126,49 +126,47 @@ class TestInfluence:
             oracle = generate_truth_table(n, rng)
             dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
             fixed = {0: int(rng.integers(2))}
-            view = SubfunctionView(oracle, Restriction(fixed))
+            vals = subfunction_summary(SubfunctionView(oracle, Restriction(fixed)), dist).influences
 
             def label(x):
                 return oracle.label(list(x))
 
             for i in range(1, n):
                 expected = definitional_influence(label, n, dist.biases, i, fixed)
-                assert influence(view, dist, i) == pytest.approx(expected, abs=1e-12)
+                assert vals[i] == pytest.approx(expected, abs=1e-12)
 
     def test_flip_influence_drops_the_rerandomization_factor(self):
-        view = SubfunctionView(oracle_of(DICTATOR, 2))
-        dist = ProductDistribution([0.3, 0.5])
-        assert flip_influence(view, dist, 0) == pytest.approx(1.0, abs=1e-15)
-        assert influence(view, dist, 0) == pytest.approx(2 * 0.3 * 0.7, abs=1e-15)
+        s = summary_of(DICTATOR, ProductDistribution([0.3, 0.5]))
+        assert s.flip_influences[0] == pytest.approx(1.0, abs=1e-15)
+        assert s.influences[0] == pytest.approx(2 * 0.3 * 0.7, abs=1e-15)
 
 
 class TestTotalInfluence:
     def test_constant(self):
-        assert total_influence(SubfunctionView(oracle_of(CONST2, 2)), UNIFORM2) == 0.0
+        assert summary_of(CONST2, UNIFORM2).total_influence == 0.0
 
     def test_dictator(self):
-        assert total_influence(SubfunctionView(oracle_of(DICTATOR, 2)), UNIFORM2) == pytest.approx(0.5)
+        assert summary_of(DICTATOR, UNIFORM2).total_influence == pytest.approx(0.5)
 
     def test_parity(self):
-        assert total_influence(SubfunctionView(oracle_of(PARITY2, 2)), UNIFORM2) == pytest.approx(1.0)
+        assert summary_of(PARITY2, UNIFORM2).total_influence == pytest.approx(1.0)
 
 
 class TestVarianceAndError:
     def test_constant(self):
-        view = SubfunctionView(oracle_of(CONST2, 2))
-        assert variance(view, UNIFORM2) == 0.0
-        assert leaf_error(view, UNIFORM2) == 0.0
+        s = summary_of(CONST2, UNIFORM2)
+        assert s.variance == 0.0
+        assert s.error == 0.0
 
     def test_balanced_dictator(self):
-        view = SubfunctionView(oracle_of(DICTATOR, 2))
-        assert variance(view, UNIFORM2) == pytest.approx(1.0, abs=1e-15)
-        assert leaf_error(view, UNIFORM2) == pytest.approx(0.5, abs=1e-15)
+        s = summary_of(DICTATOR, UNIFORM2)
+        assert s.variance == pytest.approx(1.0, abs=1e-15)
+        assert s.error == pytest.approx(0.5, abs=1e-15)
 
     def test_biased_dictator(self):
-        dist = ProductDistribution([0.3, 0.5])
-        view = SubfunctionView(oracle_of(DICTATOR, 2))
-        assert variance(view, dist) == pytest.approx(0.84, abs=1e-15)
-        assert leaf_error(view, dist) == pytest.approx(0.3, abs=1e-15)
+        s = summary_of(DICTATOR, ProductDistribution([0.3, 0.5]))
+        assert s.variance == pytest.approx(0.84, abs=1e-15)
+        assert s.error == pytest.approx(0.3, abs=1e-15)
 
     def test_variance_identity(self):
         rng = np.random.default_rng(7)
@@ -178,31 +176,55 @@ class TestVarianceAndError:
             dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
             view = SubfunctionView(oracle)
             mu = positive_mass(view, dist)
-            assert variance(view, dist) == pytest.approx(1 - (2 * mu - 1) ** 2, abs=1e-12)
+            s = subfunction_summary(view, dist)
+            assert s.positive_mass == mu
+            assert s.variance == pytest.approx(1 - (2 * mu - 1) ** 2, abs=1e-12)
 
 
 class TestScore:
     def test_dictator_root(self):
-        bare = BareTree(BareLeaf(0))
-        value, coord = score(bare, 0, oracle_of(DICTATOR, 2), UNIFORM2)
-        assert value == pytest.approx(0.5, abs=1e-15)
-        assert coord == 0
+        info = leaf_info(oracle_of(DICTATOR, 2), UNIFORM2, Restriction())
+        assert info.score == pytest.approx(0.5, abs=1e-15)
+        assert info.coord == 0
 
     def test_constant_subfunction_reports_lowest_free_coordinate(self):
-        bare = BareTree(BareLeaf(0))
-        value, coord = score(bare, 0, oracle_of(CONST2, 2), UNIFORM2)
-        assert value == 0.0
-        assert coord == 0
+        info = leaf_info(oracle_of(CONST2, 2), UNIFORM2, Restriction())
+        assert info.score == 0.0
+        assert info.coord == 0
 
     def test_parity_tie_breaks_to_lowest_coordinate(self):
-        bare = BareTree(BareLeaf(0))
-        value, coord = score(bare, 0, oracle_of(PARITY2, 2), UNIFORM2)
-        assert value == pytest.approx(0.5, abs=1e-15)
-        assert coord == 0
+        info = leaf_info(oracle_of(PARITY2, 2), UNIFORM2, Restriction())
+        assert info.score == pytest.approx(0.5, abs=1e-15)
+        assert info.coord == 0
 
-    def test_unknown_leaf(self):
-        with pytest.raises(KeyError):
-            score(BareTree(BareLeaf(0)), 3, oracle_of(CONST2, 2), UNIFORM2)
+    def test_no_free_coordinate_reports_minus_one(self):
+        info = leaf_info(oracle_of(AND2, 2), UNIFORM2, Restriction({0: 1, 1: 1}))
+        assert (info.score, info.coord, info.leaf_cost) == (0.0, -1, 0.0)
+        assert (info.mu_plus, info.error_mass) == (1.0, 0.0)
+
+    def test_fields_equal_definitional_values(self):
+        # reach, score and cost against the from-scratch influence
+        # enumeration; the chosen coordinate is a largest-influence one
+        rng = np.random.default_rng(29)
+        for _ in range(15):
+            n = int(rng.integers(2, 6))
+            oracle = generate_truth_table(n, rng)
+            dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
+            fixed = {0: int(rng.integers(2))}
+            info = leaf_info(oracle, dist, Restriction(fixed))
+
+            def label(x):
+                return oracle.label(list(x))
+
+            reach = dist.biases[0] if fixed[0] else 1.0 - dist.biases[0]
+            infl = [definitional_influence(label, n, dist.biases, i, fixed) for i in range(1, n)]
+            assert info.reach == pytest.approx(reach, abs=1e-15)
+            assert info.score == pytest.approx(reach * max(infl), abs=1e-12)
+            assert infl[info.coord - 1] == pytest.approx(max(infl), abs=1e-12)
+            assert info.leaf_cost == pytest.approx(reach * sum(infl), abs=1e-12)
+            mu = positive_mass(SubfunctionView(oracle, Restriction(fixed)), dist)
+            assert info.mu_plus == mu
+            assert info.error_mass == pytest.approx(reach * min(mu, 1 - mu), abs=1e-15)
 
 
 class TestCost:
@@ -224,7 +246,9 @@ class TestCost:
         a = BareTree(Internal(1, BareLeaf(0), Internal(2, BareLeaf(1), BareLeaf(2))))
         b = BareTree(Internal(1, BareLeaf(40), Internal(2, BareLeaf(17), BareLeaf(99))))
         assert cost(a, oracle, dist) == cost(b, oracle, dist)
-        assert score(a, 1, oracle, dist)[0] == score(b, 17, oracle, dist)[0]
+        assert [leaf_info(oracle, dist, r) for r, _ in leaf_paths(a)] == [
+            leaf_info(oracle, dist, r) for r, _ in leaf_paths(b)
+        ]
 
 
 class TestCompletion:
@@ -284,10 +308,10 @@ class TestEnumerationBudget:
         oracle = generate_truth_table(5, np.random.default_rng(0))
         dist = ProductDistribution([0.5] * 5)
         with pytest.raises(EnumerationLimitError):
-            influences(SubfunctionView(oracle), dist, max_free=4)
+            subfunction_summary(SubfunctionView(oracle), dist, max_free=4)
 
     def test_cap_counts_free_coordinates_only(self):
         oracle = generate_truth_table(5, np.random.default_rng(0))
         dist = ProductDistribution([0.5] * 5)
         view = SubfunctionView(oracle, Restriction({0: 1}))
-        influences(view, dist, max_free=4)  # 4 free coordinates: fits
+        subfunction_summary(view, dist, max_free=4)  # 4 free coordinates: fits

@@ -14,7 +14,7 @@ from greedytree.core import (
 from greedytree.exact import cost, f_completion, tree_error
 from greedytree.greedy import build_topdown_exact, size_bound_log
 from greedytree.targets import generate_random_tree
-from greedytree.verify import _replay_prefixes
+from greedytree.verify import _replay_prefixes, generate_instance
 
 UNIFORM2 = ProductDistribution([0.5, 0.5])
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
@@ -108,6 +108,26 @@ class TestTrace:
         # after the first parity split both children tie at score 1/4
         result = build_topdown_exact(PARITY2, UNIFORM2, epsilon=0.01)
         assert result.steps[1].leaf_id == 1
+
+
+class TestCompletionLabels:
+    def test_labels_equal_the_reference_completion(self):
+        # the builder labels its leaves from the positive mass it already
+        # holds; f_completion enumerates every leaf again.  Cases: the
+        # acceptance suite's lemma corpus, the uniform dictator (mu_plus =
+        # 1/2 exactly at the root, so the tie goes to +1) and a parity run
+        # cut after one split (both leaves tie)
+        cases = []
+        for k in range(200):
+            inst = generate_instance(
+                20250810 * 1_000_003 + k, max_n=6, kinds=("tree", "balanced", "path")
+            )
+            cases.append((inst.target_tree, inst.dist, 0.1, None))
+        cases += [(DICTATOR, UNIFORM2, 0.5, None), (PARITY2, UNIFORM2, 0.1, 1)]
+        for target, dist, eps, max_splits in cases:
+            result = build_topdown_exact(target, dist, epsilon=eps, max_splits=max_splits)
+            assert result.tree == f_completion(result.bare, TreeOracle(target, dist.n), dist)
+        assert build_topdown_exact(DICTATOR, UNIFORM2, epsilon=0.5).tree == DecisionTree(Leaf(1))
 
 
 class TestSizeBoundLog:
