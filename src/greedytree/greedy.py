@@ -12,6 +12,13 @@ The returned trace carries, per step, the chosen leaf and coordinate, the
 score, the potential ("cost") before and after the split, and the exact
 completion error before the split; the verification suite replays these
 against independently recomputed values.
+
+The target is labeled once per build: the root's enumeration labels all
+2^n points, and each split derives its two children from the parent's
+labels (:func:`greedytree.exact.split_children`), so a ``CountingOracle``
+target sees exactly 2^n queries.  The live leaves hold only their labels
+(2^n in all), not codes or weights; the final tree takes its labels from the positive masses
+already held.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .core import (
     max_depth,
     split_leaf,
 )
-from .exact import DEFAULT_MAX_FREE_COORDS, LeafInfo, leaf_info
+from .exact import DEFAULT_MAX_FREE_COORDS, LeafInfo, leaf_info, split_children
 
 # Unused here; perfbench/layers.py looks both names up on this module.
 from .exact import f_completion, subfunction_summary  # noqa: F401
@@ -147,8 +154,7 @@ def build_topdown_exact(
         next_id += 2
         bare = split_leaf(bare, best_id, best.coord, lo_id, hi_id)
         del leaves[best_id]
-        leaves[lo_id] = leaf_info(oracle, dist, best.restriction.extend(best.coord, 0), max_free)
-        leaves[hi_id] = leaf_info(oracle, dist, best.restriction.extend(best.coord, 1), max_free)
+        leaves[lo_id], leaves[hi_id] = split_children(best, dist)
         cost_after = sum(info.leaf_cost for info in leaves.values())
 
         steps.append(

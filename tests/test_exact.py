@@ -5,6 +5,7 @@ probability) is checked against a from-scratch enumeration of the defining
 probability Pr[f(x) != f(x')] over every point and every redrawn bit.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from greedytree.core import (
     BareLeaf,
     BareTree,
+    CountingOracle,
     DecisionTree,
     Internal,
     Leaf,
@@ -25,11 +27,15 @@ from greedytree.core import (
 )
 from greedytree.exact import (
     EnumerationLimitError,
+    LeafInfo,
     SubfunctionView,
+    _codes,
+    _weights,
     cost,
     f_completion,
     leaf_info,
     positive_mass,
+    split_children,
     subfunction_summary,
     tree_error,
 )
@@ -227,6 +233,101 @@ class TestScore:
             assert info.error_mass == pytest.approx(reach * min(mu, 1 - mu), abs=1e-15)
 
 
+def shift_enumeration(view, dist):
+    """Codes and weights by setting bit t of every index at ``free[t]``, one
+    shift/and/or pass per free coordinate."""
+    free = view.free_coords()
+    k = np.arange(1 << len(free), dtype=np.uint64)
+    codes = np.full(len(k), view.restriction.base_code(), dtype=np.uint64)
+    weights = np.ones(1)
+    for t, i in enumerate(free):
+        codes |= ((k >> np.uint64(t)) & np.uint64(1)) << np.uint64(i)
+        p = dist.biases[i]
+        weights = np.concatenate([weights * (1.0 - p), weights * p])
+    return free, codes, weights
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n", [1, 5, 12, 64])
+    def test_codes_and_weights_equal_the_shift_formula(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            m = int(rng.integers(0, min(n, 10) + 1))
+            free = sorted(int(i) for i in rng.choice(n, size=m, replace=False))
+            fixed = {i: int(rng.integers(2)) for i in range(n) if i not in free}
+            view = SubfunctionView(TreeOracle(CONST2, n), Restriction(fixed))
+            dist = ProductDistribution(rng.uniform(0.05, 0.95, n))
+            codes, weights = _codes(view, dist, 10), _weights(dist, view.free_coords())
+            want_free, want_codes, want_weights = shift_enumeration(view, dist)
+            assert want_free == free
+            assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
+            assert weights.dtype == want_weights.dtype
+            assert weights.tobytes() == want_weights.tobytes()
+
+
+SPLIT_BIASES = {
+    "uniform": lambda n, rng: [0.5] * n,
+    "skewed": lambda n, rng: [0.1] * n,
+    "mixed": lambda n, rng: list(rng.uniform(0.05, 0.95, n)),
+}
+
+
+def split_oracle(kind: str, n: int, rng):
+    if kind == "tree":
+        return TreeOracle(generate_random_tree(n, 5, rng), n)
+    if kind == "table":
+        return generate_truth_table(n, rng)
+    return CountingOracle(TreeOracle(generate_random_tree(n, 5, rng), n))
+
+
+def assert_same_leaf(got: LeafInfo, want: LeafInfo):
+    for f in dataclasses.fields(LeafInfo):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "labels":
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert a == b, f.name
+
+
+class TestSplitChildren:
+    """Children derived from the parent's labels equal a fresh ``leaf_info``."""
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bias", sorted(SPLIT_BIASES))
+    @pytest.mark.parametrize("kind", ["tree", "table", "counting"])
+    def test_children_equal_fresh_leaf_info(self, kind, bias, position):
+        rng = np.random.default_rng([len(kind), len(bias), len(position)])
+        n = 8
+        oracle = split_oracle(kind, n, rng)
+        dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
+        parent = leaf_info(oracle, dist, Restriction({3: 1}))
+        free = [0, 1, 2, 4, 5, 6, 7]
+        coord = {"first": free[0], "middle": free[3], "last": free[-1]}[position]
+        before = getattr(oracle, "queries", None)
+        children = split_children(dataclasses.replace(parent, coord=coord), dist)
+        assert getattr(oracle, "queries", None) == before  # no point labeled again
+        for b, child in enumerate(children):
+            assert_same_leaf(child, leaf_info(oracle, dist, parent.restriction.extend(coord, b)))
+
+    @pytest.mark.parametrize("kind", ["tree", "table", "counting"])
+    def test_repeated_splits_down_to_single_points(self, kind):
+        rng = np.random.default_rng(41)
+        n = 6
+        oracle = split_oracle(kind, n, rng)
+        dist = ProductDistribution(rng.uniform(0.05, 0.95, n))
+        live = [leaf_info(oracle, dist, Restriction())]
+        while live:
+            info = live.pop()
+            free = [i for i in range(n) if i not in info.restriction]
+            if not free:
+                assert len(info.labels) == 1
+                continue
+            coord = int(rng.choice(free))
+            for b, child in enumerate(split_children(dataclasses.replace(info, coord=coord), dist)):
+                assert_same_leaf(child, leaf_info(oracle, dist, info.restriction.extend(coord, b)))
+                live.append(child)
+
+
 class TestCost:
     def test_constant(self):
         bare = BareTree(Internal(0, BareLeaf(0), BareLeaf(1)))
@@ -309,6 +410,13 @@ class TestEnumerationBudget:
         dist = ProductDistribution([0.5] * 5)
         with pytest.raises(EnumerationLimitError):
             subfunction_summary(SubfunctionView(oracle), dist, max_free=4)
+
+    def test_cap_enforced_before_any_label_query(self):
+        oracle = CountingOracle(generate_truth_table(5, np.random.default_rng(0)))
+        dist = ProductDistribution([0.5] * 5)
+        with pytest.raises(EnumerationLimitError):
+            leaf_info(oracle, dist, Restriction(), max_free=4)
+        assert oracle.queries == 0
 
     def test_cap_counts_free_coordinates_only(self):
         oracle = generate_truth_table(5, np.random.default_rng(0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greedytree.core import (
+    CountingOracle,
     DecisionTree,
     Internal,
     Leaf,
@@ -11,9 +12,9 @@ from greedytree.core import (
     TreeOracle,
     size,
 )
-from greedytree.exact import cost, f_completion, tree_error
+from greedytree.exact import EnumerationLimitError, cost, f_completion, tree_error
 from greedytree.greedy import build_topdown_exact, size_bound_log
-from greedytree.targets import generate_random_tree
+from greedytree.targets import generate_random_tree, generate_truth_table
 from greedytree.verify import _replay_prefixes, generate_instance
 
 UNIFORM2 = ProductDistribution([0.5, 0.5])
@@ -144,6 +145,30 @@ class TestSizeBoundLog:
         oracle = TreeOracle(DICTATOR, 2)
         result = build_topdown_exact(oracle, UNIFORM2, epsilon=0.25)
         assert result.terminated
+
+
+class TestLabelQueries:
+    def test_each_point_is_labeled_once_per_build(self):
+        rng = np.random.default_rng(17)
+        splits = []
+        for k in range(12):
+            n = int(rng.integers(2, 11))
+            if k % 3:
+                inner = TreeOracle(generate_random_tree(n, min(n, 5), rng), n)
+            else:
+                inner = generate_truth_table(n, rng)
+            oracle = CountingOracle(inner)
+            dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
+            result = build_topdown_exact(oracle, dist, epsilon=0.02)
+            assert oracle.queries == 1 << n
+            splits.append(result.splits)
+        assert max(splits) >= 8
+
+    def test_enumeration_cap_raises_before_any_label_query(self):
+        oracle = CountingOracle(TreeOracle(DICTATOR, 5))
+        with pytest.raises(EnumerationLimitError):
+            build_topdown_exact(oracle, ProductDistribution([0.5] * 5), epsilon=0.1, max_free=4)
+        assert oracle.queries == 0
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Property checkers: designated probes, random suites, witness replay."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from greedytree.verify import (
     dictator_normalization_probe,
     generate_instance,
     run_property_suite,
+    _derived_split_bound_log,
     _witness,
 )
 
@@ -190,6 +192,54 @@ class TestSizeBound:
         inst = Instance(0, "balanced", dist, TreeOracle(tree, 5), tree)
         result = build_topdown_exact(tree, dist, epsilon=0.1)
         assert check_size_bound(inst, result, tree).passed
+
+    def test_derived_bound_formula(self):
+        # (avg / depth) * (exp(depth * avg / (2 eps)) - 1), also where exp overflows
+        assert _derived_split_bound_log(0.1, 2, 1.5) == pytest.approx(
+            math.log(1.5 / 2 * (math.exp(2 * 1.5 / 0.2) - 1)), rel=1e-12
+        )
+        assert _derived_split_bound_log(1e-4, 20, 20.0) == pytest.approx(2e6, rel=1e-12)
+        assert _derived_split_bound_log(0.1, 0, 0.0) == -math.inf
+
+    def test_report_names_both_bounds(self):
+        inst = _dictator_instance(0.5, n=2)
+        result = build_topdown_exact(inst.target_tree, inst.dist, epsilon=0.1)
+        report = check_size_bound(inst, result, inst.target_tree)
+        assert report.passed
+        assert report.detail.startswith("paper: ln(size)=0.693147 ")
+        assert "; derived (error floor + telescoping + cost0<=avg/2): ln(splits)=0 " in report.detail
+
+    def test_too_many_splits_break_the_derived_bound_without_termination(self):
+        # dictator, eps = 0.1: at most exp(5) - 1 < 148 splits; the paper's
+        # bound exempts a run cut short, the derived one does not
+        inst = _dictator_instance(0.5, n=2)
+        result = build_topdown_exact(inst.target_tree, inst.dist, epsilon=0.1)
+        assert math.exp(_derived_split_bound_log(0.1, 1, 1.0)) == pytest.approx(math.exp(5) - 1)
+        for splits, passed in ((147, True), (148, False)):
+            long = dataclasses.replace(result, steps=result.steps * splits, terminated=False)
+            report = check_size_bound(inst, long, inst.target_tree)
+            assert report.passed is passed
+            assert report.detail.startswith("paper: not terminated, exempt; derived")
+        assert report.witness is not None
+
+    def test_starting_cost_above_half_the_average_depth_fails(self):
+        # the uniform dictator's total influence is exactly avg/2 = 1/2
+        inst = _dictator_instance(0.5, n=2)
+        result = build_topdown_exact(inst.target_tree, inst.dist, epsilon=0.1)
+        assert result.steps[0].cost_before == pytest.approx(0.5)
+        assert check_size_bound(inst, result, inst.target_tree).passed
+        step = dataclasses.replace(result.steps[0], cost_before=0.5 + 1e-6)
+        report = check_size_bound(inst, dataclasses.replace(result, steps=(step,)), inst.target_tree)
+        assert not report.passed and "cost0=0.500001 avg/2=0.5" in report.detail
+
+    def test_constant_target_allows_no_split(self):
+        tree = DecisionTree(Leaf(1))
+        dist = ProductDistribution([0.5])
+        inst = Instance(0, "tree", dist, TreeOracle(tree, 1), tree)
+        result = build_topdown_exact(tree, dist, epsilon=0.1)
+        assert check_size_bound(inst, result, tree).passed
+        forged = dataclasses.replace(result, steps=build_topdown_exact(DICTATOR, dist, 0.1).steps)
+        assert not check_size_bound(inst, forged, tree).passed
 
 
 class TestWholeFunctionChecks:
