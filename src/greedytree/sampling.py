@@ -23,15 +23,20 @@ queried, the endpoints either coincide (labels equal) or separate, so the
 contribution is zero either way and such pairs are skipped.  The estimate
 divides by the full per-variable pool size, which makes it an unbiased
 estimator of the true score -- a property the test suite checks by Monte
-Carlo against the exact engine.
+Carlo against the exact engine.  :func:`pair_hits` is that estimator; the
+builder and the unbiasedness check in :mod:`greedytree.verify` both run it.
 
-So the builder keeps, per leaf and coordinate, only the x codes of the
-pairs whose labels disagree, and a leaf's hit count is the length of that
-array.  A pair that agrees never counts at any leaf, and the global pool
-total it was drawn into is kept separately, so dropping it right after
-labeling leaves every estimate bit-identical.  The redrawn endpoint is not
-needed either: off the leaf's path it routes with x, and on the path the
-pair cannot count.
+Only the pairs whose redrawn bit differs from x_i are labeled.  The others
+have x' = x, so their labels agree and they never count at any leaf; this
+is the 2 p_i (1 - p_i) factor in the closed form of the influence in
+:mod:`greedytree.exact`.  They are still drawn, from the same random stream,
+and still counted in the pool total, so every estimate is the same as if
+all pairs were labeled, at about 2 p_i (1 - p_i) of the label queries.
+
+So the builder keeps, per leaf and coordinate off its path, only the x
+codes of the pairs whose labels disagree, and a leaf's hit count is the
+length of that array.  The redrawn endpoint is not needed: off the leaf's
+path it routes with x.
 
 Termination: label every leaf by majority, count stopping-pool points that
 disagree with their leaf's label, and stop once the total mismatch fraction
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Container, Mapping
 
 import numpy as np
 
@@ -55,7 +60,6 @@ from .core import (
     label_leaves,
     route_codes,
     split_leaf,
-    unpack_bits,
 )
 
 __all__ = [
@@ -64,14 +68,11 @@ __all__ = [
     "PracticalStep",
     "UsageRow",
     "build_topdown_practical",
-    "draw_pair",
     "draw_pair_batch",
-    "empirical_error",
     "error_schedule",
     "labeling_schedule",
-    "majority_label",
+    "pair_hits",
     "pair_schedule",
-    "score_estimate",
 ]
 
 
@@ -120,8 +121,39 @@ def error_schedule(j: int, epsilon: float, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pair sampling and pure estimators
+# Pair sampling and the split-score estimator
 # ---------------------------------------------------------------------------
+
+
+def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
+    return (codes & np.uint64(1 << coord)) != 0
+
+
+def _group_by_leaf(leaf_ids: np.ndarray) -> dict[int, np.ndarray]:
+    order = np.argsort(leaf_ids, kind="stable")
+    ids, starts = np.unique(leaf_ids[order], return_index=True)
+    bounds = list(starts) + [len(order)]
+    return {int(ids[k]): order[bounds[k] : bounds[k + 1]] for k in range(len(ids))}
+
+
+@dataclass(frozen=True)
+class PairBatch:
+    """The labeled pairs of one draw for coordinate ``coord``.
+
+    ``drawn`` pairs were drawn; only those whose redrawn bit came out
+    different from x's are kept and labeled, so each x' is x with bit
+    ``coord`` flipped, labeled ``alt_labels``, and ``len`` counts the
+    labeled pairs.  Estimates divide by ``drawn``.
+    """
+
+    coord: int
+    x_codes: np.ndarray
+    x_labels: np.ndarray
+    alt_labels: np.ndarray
+    drawn: int
+
+    def __len__(self) -> int:
+        return len(self.x_codes)
 
 
 def draw_pair_batch(
@@ -130,78 +162,45 @@ def draw_pair_batch(
     i: int,
     rng: np.random.Generator,
     count: int,
-) -> "PairBatch":
-    """Draw ``count`` labeled pairs for coordinate i.
+) -> PairBatch:
+    """Draw ``count`` pairs for coordinate i and label the ones that flipped.
 
     Each pair is an independent x ~ mu together with x' equal to x except
-    that coordinate i is redrawn from its marginal.
+    that coordinate i is redrawn from its marginal.  The redrawn bit equals
+    x_i with probability 1 - 2 p_i (1 - p_i); then x' = x and the pair
+    cannot disagree, so only the other pairs are labeled.  The random
+    stream is the same either way: ``count`` codes, then ``count`` uniforms
+    for the redrawn bits.
     """
     if not 0 <= i < dist.n:
         raise ValueError(f"coordinate {i} out of range for n={dist.n}")
     x = dist.draw_codes(rng, count)
-    redrawn = (rng.random(count) < dist.biases[i]).astype(np.uint64)
-    alt = (x & ~np.uint64(1 << i)) | (redrawn << np.uint64(i))
-    return PairBatch(x, oracle.label_codes(x), alt, oracle.label_codes(alt))
+    redrawn = rng.random(count) < dist.biases[i]
+    # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
+    # about 2.5x as long as flatnonzero followed by the integer gather.
+    x = x[np.flatnonzero(redrawn != _bit(x, i))]
+    return PairBatch(i, x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i)), count)
 
 
-def draw_pair(
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    i: int,
-    rng: np.random.Generator,
-) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
-    """Single labeled pair ((x, f(x)), (x', f(x'))) as 0/1 vectors."""
-    batch = draw_pair_batch(oracle, dist, i, rng, 1)
-    x = unpack_bits(batch.x_codes, dist.n)[0]
-    alt = unpack_bits(batch.alt_codes, dist.n)[0]
-    return (x, int(batch.x_labels[0])), (alt, int(batch.alt_labels[0]))
+def pair_hits(
+    batch: PairBatch, bare: BareTree, paths: Mapping[int, Container[int]]
+) -> dict[int, np.ndarray]:
+    """The x codes of the batch's disagreeing pairs, grouped by leaf.
 
-
-@dataclass(frozen=True)
-class PairBatch:
-    """Labeled sample pairs, packed; both sides kept for the pure estimator."""
-
-    x_codes: np.ndarray
-    x_labels: np.ndarray
-    alt_codes: np.ndarray
-    alt_labels: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x_codes)
-
-
-def score_estimate(pairs: PairBatch, leaf_id: int, tree: BareTree) -> float:
-    """Fraction of pairs whose endpoints both reach ``leaf_id`` with
-    disagreeing labels; an unbiased estimate of that leaf's score for the
-    pair coordinate.
+    A pair counts for a leaf when both endpoints reach it and their labels
+    disagree.  Off the leaf's path (``paths[leaf_id]`` holds the coordinates
+    it queries) the flipped coordinate is not queried, so x' reaches the
+    leaf iff x does, and x alone is routed.  On the path x and x' part at
+    the query, so leaves that query ``batch.coord`` get no hits.  A leaf's
+    score estimate for the coordinate is its hit count over the number of
+    pairs drawn, not labeled.
     """
-    if len(pairs) == 0:
-        raise ValueError("empty pair multiset")
-    at_leaf = (route_codes(tree, pairs.x_codes) == leaf_id) & (
-        route_codes(tree, pairs.alt_codes) == leaf_id
-    )
-    hits = at_leaf & (pairs.x_labels != pairs.alt_labels)
-    return float(np.count_nonzero(hits)) / len(pairs)
-
-
-def majority_label(labels: Sequence[int] | np.ndarray) -> int:
-    """Majority of +/-1 labels; ties and the empty set give +1."""
-    total = int(np.sum(np.asarray(labels, dtype=np.int64))) if len(labels) else 0
-    return 1 if total >= 0 else -1
-
-
-def empirical_error(
-    leaf_labels: Mapping[int, int],
-    samples_by_leaf: Mapping[int, np.ndarray | Sequence[int]],
-) -> tuple[int, int]:
-    """Total mismatches and total count of stopping-pool labels per leaf."""
-    mismatches = 0
-    total = 0
-    for leaf_id, labels in samples_by_leaf.items():
-        arr = np.asarray(labels, dtype=np.int64)
-        mismatches += int(np.count_nonzero(arr != leaf_labels[leaf_id]))
-        total += len(arr)
-    return mismatches, total
+    hits = batch.x_codes[np.flatnonzero(batch.x_labels != batch.alt_labels)]
+    return {
+        leaf_id: hits[idx]
+        for leaf_id, idx in _group_by_leaf(route_codes(bare, hits)).items()
+        if batch.coord not in paths[leaf_id]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +210,6 @@ def empirical_error(
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
 _NO_LABELS = np.empty(0, dtype=np.int8)
-
-
-def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
-    return ((codes >> np.uint64(coord)) & np.uint64(1)).astype(bool)
 
 
 class _LabeledPool:
@@ -245,8 +240,8 @@ class _LabeledPool:
 @dataclass
 class _LeafState:
     """One leaf's share of the pools: the labeling pool ``ll``, the
-    stopping-test pool ``ee``, and per coordinate the x codes of the
-    disagreeing pairs, whose count is the leaf's hit count."""
+    stopping-test pool ``ee``, and per coordinate off ``path`` the x codes
+    of the disagreeing pairs, whose count is the leaf's hit count."""
 
     path: frozenset[int]
     ll: _LabeledPool
@@ -315,13 +310,6 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
-def _group_by_leaf(leaf_ids: np.ndarray) -> dict[int, np.ndarray]:
-    order = np.argsort(leaf_ids, kind="stable")
-    ids, starts = np.unique(leaf_ids[order], return_index=True)
-    bounds = list(starts) + [len(order)]
-    return {int(ids[k]): order[bounds[k] : bounds[k + 1]] for k in range(len(ids))}
-
-
 def build_topdown_practical(
     oracle: TargetOracle,
     dist: ProductDistribution,
@@ -378,15 +366,15 @@ def build_topdown_practical(
             for leaf_id, idx in _group_by_leaf(route_codes(bare, codes)).items():
                 getattr(states[leaf_id], pool).append(codes[idx], labels[idx])
         if d_pairs > 0:
+            paths = {leaf_id: st.path for leaf_id, st in states.items()}
             for i in range(n):
                 batch = draw_pair_batch(oracle, dist, i, _stream(seed, _PAIR_STREAM, j, i), d_pairs)
-                label_queries += 2 * d_pairs
-                random_draws += 2 * d_pairs
-                hits = batch.x_codes[batch.x_labels != batch.alt_labels]
-                for leaf_id, idx in _group_by_leaf(route_codes(bare, hits)).items():
+                label_queries += 2 * len(batch)
+                random_draws += 2 * batch.drawn
+                for leaf_id, hits in pair_hits(batch, bare, paths).items():
                     pairs = states[leaf_id].pairs
-                    pairs[i] = np.concatenate([pairs[i], hits[idx]])
-                pool_totals[i] += d_pairs
+                    pairs[i] = np.concatenate([pairs[i], hits])
+                pool_totals[i] += batch.drawn
         usage.append(
             UsageRow(
                 step=j,
@@ -450,6 +438,8 @@ def build_topdown_practical(
         ee_lo, ee_hi = parent.ee.split(coord)
         pairs_lo, pairs_hi = {}, {}
         for i, codes in parent.pairs.items():
+            if i == coord:
+                continue
             side = _bit(codes, coord)
             pairs_lo[i], pairs_hi[i] = codes[~side], codes[side]
         states[lo_id] = _LeafState(path, ll_lo, ee_lo, pairs_lo)

@@ -120,7 +120,6 @@ from .core import (
     average_depth,
     leaf_paths,
     max_depth,
-    route_codes,
     serialize_distribution,
     serialize_tree,
     size,
@@ -134,7 +133,7 @@ from .exact import (
     tree_error,
 )
 from .greedy import GreedyResult, build_topdown_exact, size_bound_log
-from .sampling import draw_pair_batch
+from .sampling import draw_pair_batch, pair_hits
 from .targets import (
     generate_balanced_target,
     generate_path_target,
@@ -524,29 +523,32 @@ def _random_bare_tree(instance: Instance, rng: np.random.Generator, max_splits: 
 def _unbiasedness_probes(
     instance: Instance, bare: BareTree, resamples: int, pair_count: int, seed: int
 ) -> tuple[int, int, float]:
-    """(probes within 3 standard errors, total probes, worst z-score)."""
+    """(probes within 3 standard errors, total probes, worst z-score).
+
+    Each resample is one batch of ``pair_count`` pairs per coordinate,
+    scored by :func:`greedytree.sampling.pair_hits`, the estimator the
+    practical builder runs.
+    """
     dist, oracle = instance.dist, instance.oracle
     leaves = []
+    paths = {}
     for restriction, leaf in leaf_paths(bare):
         assert isinstance(leaf, BareLeaf)
         summary = subfunction_summary(SubfunctionView(oracle, restriction), dist)
         leaves.append((leaf.id, dist.reach_probability(restriction), summary.influences))
-    ids = [lid for lid, _, _ in leaves]
-    id_index = {lid: k for k, lid in enumerate(ids)}
+        paths[leaf.id] = restriction
+    id_index = {lid: k for k, (lid, _, _) in enumerate(leaves)}
 
     ok = 0
     total = 0
     worst = 0.0
     for i in range(dist.n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7001, i]))
-        batch = draw_pair_batch(oracle, dist, i, rng, resamples * pair_count)
-        x_leaf = route_codes(bare, batch.x_codes)
-        alt_leaf = route_codes(bare, batch.alt_codes)
-        hit = (x_leaf == alt_leaf) & (batch.x_labels != batch.alt_labels)
-        leaf_idx = np.array([id_index[l] for l in x_leaf])
-        counts = np.zeros((resamples, len(ids)))
-        sample_of_pair = np.repeat(np.arange(resamples), pair_count)
-        np.add.at(counts, (sample_of_pair, leaf_idx), hit.astype(float))
+        counts = np.zeros((resamples, len(leaves)))
+        for r in range(resamples):
+            batch = draw_pair_batch(oracle, dist, i, rng, pair_count)
+            for lid, hits in pair_hits(batch, bare, paths).items():
+                counts[r, id_index[lid]] = len(hits)
         estimates = counts / pair_count
         for lid, reach, infl in leaves:
             exact = reach * float(infl[i])

@@ -28,12 +28,12 @@ GRID_CONFIG = {
     "seed": 7,
     "max_splits": 64,
 }
-GRID_CSV_SHA = "b630be4c93ae4de6d7ff91ab570860fbba9630f6ae9d2d2757bbd02df1b8081e"
+GRID_CSV_SHA = "87979b66e8348b7310c29de734f831e40aab6224cbe33c9d13fd71bb8ccfd1c0"
 
 BUILD_BIASES = [0.5, 0.3, 0.1, 0.7, 0.5, 0.2, 0.6, 0.4]
 BUILD_SHA = {
-    ("practical", 4): "5bd5be9a822002fb510b2c8517383c3059fd5003d46ab7797d3852158e51f1d4",
-    ("practical", 5): "c3f6372eacf0f9ba3f75fa29129d418097f9a7767900370f16f224ec63e0e10b",
+    ("practical", 4): "40628526c0db3029f7caac2c37423d5127ff0979a857f8ea5ea0263feb6adb1a",
+    ("practical", 5): "76a2f9691ed9d74b3257c80923e1514047afecffb3cd95ff52a8786e874d220c",
     ("exact", 4): "88872a3cdbdaa014b1627b08a057207d3772a367a4c541157c727c43350c558c",
     ("exact", 5): "24c2fa3494ba572d824a375b65bb904f9f323ac2a04c4bb318dd0e756057ac0f",
 }

@@ -1,4 +1,4 @@
-"""Schedules, pair sampling, estimators, and the sample-driven builder."""
+"""Schedules, pair sampling, the split-score estimator, and the sample-driven builder."""
 
 import math
 
@@ -6,31 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greedytree import sampling
 from greedytree.core import (
     BareLeaf,
     BareTree,
+    CountingOracle,
     DecisionTree,
     Internal,
     Leaf,
     ProductDistribution,
     TreeOracle,
+    TruthTableOracle,
+    route_codes,
     size,
     split_leaf,
-    unpack_bits,
+    tree_variables,
 )
 from greedytree.exact import tree_error
 from greedytree.sampling import (
     PairBatch,
     build_topdown_practical,
-    draw_pair,
     draw_pair_batch,
-    empirical_error,
     error_schedule,
     labeling_schedule,
-    majority_label,
+    pair_hits,
     pair_schedule,
-    score_estimate,
 )
+from greedytree.targets import generate_balanced_target, generate_random_tree
 
 UNIFORM2 = ProductDistribution([0.5, 0.5])
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
@@ -96,61 +98,117 @@ class TestSchedules:
             pair_schedule(1, 0.1, 0.5, 0)
 
 
+def _random_bare(n: int, rng: np.random.Generator, splits: int) -> tuple[BareTree, dict]:
+    """A bare tree of up to ``splits`` random splits, with each leaf's path."""
+    bare, paths, next_id = BareTree(BareLeaf(0)), {0: frozenset()}, 1
+    for _ in range(splits):
+        leaf_id = int(rng.choice(sorted(paths)))
+        free = [i for i in range(n) if i not in paths[leaf_id]]
+        if not free:
+            continue
+        coord = int(rng.choice(free))
+        bare = split_leaf(bare, leaf_id, coord, next_id, next_id + 1)
+        path = paths.pop(leaf_id) | {coord}
+        paths[next_id] = paths[next_id + 1] = path
+        next_id += 2
+    return bare, paths
+
+
+def _hits_labeling_every_pair(oracle, dist, i, rng, count, bare):
+    """Reference estimator: label both endpoints of every drawn pair and
+    count a pair at a leaf when both endpoints reach it and disagree."""
+    x = dist.draw_codes(rng, count)
+    redrawn = (rng.random(count) < dist.biases[i]).astype(np.uint64)
+    alt = (x & ~np.uint64(1 << i)) | (redrawn << np.uint64(i))
+    disagree = oracle.label_codes(x) != oracle.label_codes(alt)
+    x, alt = x[disagree], alt[disagree]
+    x_leaf, alt_leaf = route_codes(bare, x), route_codes(bare, alt)
+    both = x_leaf == alt_leaf
+    return {int(leaf): x[both & (x_leaf == leaf)] for leaf in np.unique(x_leaf[both])}
+
+
+def _estimate(batch, leaf_id, bare, paths) -> float:
+    return len(pair_hits(batch, bare, paths).get(leaf_id, ())) / batch.drawn
+
+
+ROOT = BareTree(BareLeaf(0))
+ROOT_PATHS = {0: frozenset()}
+
+
 class TestDrawPair:
     def test_endpoints_differ_at_most_at_i(self):
+        # every labeled pair differs exactly at bit i, and both labels are the oracle's
         oracle = TreeOracle(DICTATOR, 2)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            (x, fx), (alt, falt) = draw_pair(oracle, UNIFORM2, 1, rng)
-            assert x[0] == alt[0]
-            assert fx == oracle.label(x) and falt == oracle.label(alt)
+        for i in (0, 1):
+            batch = draw_pair_batch(oracle, UNIFORM2, i, np.random.default_rng(i), 500)
+            assert len(batch) > 0 and batch.drawn == 500 and batch.coord == i
+            assert np.array_equal(batch.x_labels, oracle.label_codes(batch.x_codes))
+            flipped = batch.x_codes ^ np.uint64(1 << i)
+            assert np.array_equal(batch.alt_labels, oracle.label_codes(flipped))
 
     def test_disagreement_rate_biased(self):
-        # redrawn bit differs from the original with probability 2 p (1-p)
+        # the redrawn bit differs from the original with probability 2 p (1-p)
         dist = ProductDistribution([0.3, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, dist, 0, np.random.default_rng(1), 100_000)
-        x0 = unpack_bits(batch.x_codes, 2)[:, 0]
-        a0 = unpack_bits(batch.alt_codes, 2)[:, 0]
-        assert abs(np.mean(x0 != a0) - 0.42) < 0.01
+        assert abs(len(batch) / batch.drawn - 0.42) < 0.01
 
     def test_disagreement_rate_uniform(self):
         dist = ProductDistribution([0.5, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, dist, 0, np.random.default_rng(2), 100_000)
-        x0 = unpack_bits(batch.x_codes, 2)[:, 0]
-        a0 = unpack_bits(batch.alt_codes, 2)[:, 0]
-        assert abs(np.mean(x0 != a0) - 0.5) < 0.01
+        assert abs(len(batch) / batch.drawn - 0.5) < 0.01
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
+    @pytest.mark.parametrize(
+        "n,kind", [(n, "tree") for n in (1, 5, 12, 25, 64)] + [(n, "table") for n in (1, 5, 12)]
+    )
+    def test_hits_equal_labeling_every_pair(self, n, kind, p):
+        # labeling only the flipped pairs leaves the hit arrays and the
+        # random stream exactly as labeling every pair of the same draw;
+        # tree targets above n = 24 label by routing instead of a table
+        rng = np.random.default_rng([n, int(p * 10)])
+        target = generate_balanced_target(min(n, 4), n, rng)
+        oracle = TreeOracle(target, n)
+        if kind == "table":
+            oracle = TruthTableOracle(oracle.label_codes(np.arange(1 << n, dtype=np.uint64)))
+        coords = tree_variables(target) | {0, n - 1}
+        dist = ProductDistribution([p] * n)
+        bare, paths = _random_bare(n, rng, min(n - 1, 3))
+        total_hits = 0
+        for i in sorted(coords):
+            ours, ref = np.random.default_rng([7, i]), np.random.default_rng([7, i])
+            batch = draw_pair_batch(oracle, dist, i, ours, 3000)
+            hits = pair_hits(batch, bare, paths)
+            expected = _hits_labeling_every_pair(oracle, dist, i, ref, 3000, bare)
+            assert sorted(hits) == sorted(expected)
+            for leaf_id, codes in expected.items():
+                assert np.array_equal(hits[leaf_id], codes)
+            assert ours.random() == ref.random()
+            total_hits += sum(map(len, hits.values()))
+        assert total_hits > 0
 
 
 class TestScoreEstimate:
     def test_all_labels_agree_gives_zero(self):
         codes = np.arange(8, dtype=np.uint64)
         ones = np.ones(8, dtype=np.int8)
-        batch = PairBatch(codes, ones, codes, ones)
-        assert score_estimate(batch, 0, BareTree(BareLeaf(0))) == 0.0
+        batch = PairBatch(0, codes, ones, ones, 8)
+        assert pair_hits(batch, ROOT, ROOT_PATHS) == {}
+        assert _estimate(batch, 0, ROOT, ROOT_PATHS) == 0.0
 
     def test_root_only_tree_counts_disagreements(self):
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, UNIFORM2, 0, np.random.default_rng(3), 4000)
-        frac = float(np.mean(batch.x_labels != batch.alt_labels))
-        assert score_estimate(batch, 0, BareTree(BareLeaf(0))) == pytest.approx(frac)
-
-    def test_empty_multiset_rejected(self):
-        empty = PairBatch(
-            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int8),
-            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int8),
-        )
-        with pytest.raises(ValueError):
-            score_estimate(empty, 0, BareTree(BareLeaf(0)))
+        disagree = int(np.count_nonzero(batch.x_labels != batch.alt_labels))
+        assert _estimate(batch, 0, ROOT, ROOT_PATHS) == pytest.approx(disagree / 4000)
 
     def test_unbiased_for_dictator_root(self):
         # mean over 200 fresh pools of 1000 pairs within 3 standard errors of 1/2
         oracle = TreeOracle(DICTATOR, 2)
-        bare = BareTree(BareLeaf(0))
         rng = np.random.default_rng(4)
         estimates = [
-            score_estimate(draw_pair_batch(oracle, UNIFORM2, 0, rng, 1000), 0, bare)
+            _estimate(draw_pair_batch(oracle, UNIFORM2, 0, rng, 1000), 0, ROOT, ROOT_PATHS)
             for _ in range(200)
         ]
         stderr = np.std(estimates, ddof=1) / math.sqrt(200)
@@ -159,48 +217,25 @@ class TestScoreEstimate:
     def test_pair_crossing_a_split_never_fires(self):
         # pairs redrawn on the split coordinate reach opposite children and
         # cannot contribute to either child's estimate
-        bare = split_leaf(BareTree(BareLeaf(0)), 0, 0, 1, 2)
+        bare = split_leaf(ROOT, 0, 0, 1, 2)
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, UNIFORM2, 0, np.random.default_rng(5), 5000)
-        assert score_estimate(batch, 1, bare) == 0.0
-        assert score_estimate(batch, 2, bare) == 0.0
+        assert np.any(batch.x_labels != batch.alt_labels)
+        assert pair_hits(batch, bare, {1: {0}, 2: {0}}) == {}
 
     def test_off_path_coordinate_routes_with_x(self):
         # when the redrawn coordinate is not queried, x reaches the leaf
         # iff the redrawn point does: both-reach reduces to x-reach
-        bare = split_leaf(BareTree(BareLeaf(0)), 0, 1, 1, 2)
+        bare = split_leaf(ROOT, 0, 1, 1, 2)
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, UNIFORM2, 0, np.random.default_rng(6), 5000)
-        from greedytree.core import route_codes
-
-        for leaf in (1, 2):
+        hits = pair_hits(batch, bare, {1: {1}, 2: {1}})
+        assert sorted(hits) == [1, 2]
+        for leaf, codes in hits.items():
+            assert np.all(route_codes(bare, codes) == leaf)
+            assert np.all(route_codes(bare, codes ^ np.uint64(1)) == leaf)
             at_leaf = route_codes(bare, batch.x_codes) == leaf
-            expected = np.count_nonzero(at_leaf & (batch.x_labels != batch.alt_labels)) / len(batch)
-            assert score_estimate(batch, leaf, bare) == pytest.approx(expected)
-
-
-class TestMajorityAndError:
-    def test_majority(self):
-        assert majority_label([1, 1, -1]) == 1
-        assert majority_label([]) == 1
-        assert majority_label([1, -1]) == 1
-        assert majority_label([-1, -1, 1]) == -1
-
-    def test_empirical_error_counts(self):
-        labels = {0: 1}
-        samples = {0: np.array([1, 1, 1, -1], dtype=np.int8)}
-        assert empirical_error(labels, samples) == (1, 4)
-
-    def test_empirical_error_all_match(self):
-        assert empirical_error({0: -1}, {0: np.array([-1, -1], dtype=np.int8)}) == (0, 2)
-
-    def test_empirical_error_additive_across_leaves(self):
-        labels = {0: 1, 1: -1}
-        samples = {
-            0: np.array([1, -1], dtype=np.int8),
-            1: np.array([-1, -1, 1], dtype=np.int8),
-        }
-        assert empirical_error(labels, samples) == (1 + 1, 5)
+            assert len(codes) == np.count_nonzero(at_leaf & (batch.x_labels != batch.alt_labels))
 
 
 class TestPracticalBuilder:
@@ -233,18 +268,27 @@ class TestPracticalBuilder:
         assert a.usage == b.usage
         assert a.steps == b.steps
 
-    def test_label_queries_match_schedules_exactly(self):
-        # total fresh draws per category telescope to the step-J floors
-        oracle = TreeOracle(DICTATOR, 2)
-        result = build_topdown_practical(oracle, UNIFORM2, 0.2, 0.1, seed=3)
-        j = result.steps[-1].step
-        expected = (
-            labeling_schedule(j, 0.2, 0.1)
-            + error_schedule(j, 0.2, 0.1)
-            + 2 * 2 * pair_schedule(j, 0.1, 0.2, 2)
-        )
-        assert result.label_queries == expected
-        assert result.random_draws == expected
+    def test_label_queries_match_schedules_exactly(self, monkeypatch):
+        # draws telescope to the step-J floors; label queries are the
+        # labeling and stopping pools plus both endpoints of each labeled pair
+        labeled = []
+
+        def recording(*args):
+            batch = draw_pair_batch(*args)
+            labeled.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(sampling, "draw_pair_batch", recording)
+        for p in (0.5, 0.1):
+            labeled.clear()
+            oracle = CountingOracle(TreeOracle(DICTATOR, 2))
+            result = build_topdown_practical(oracle, ProductDistribution([p, p]), 0.2, 0.1, seed=3)
+            j = result.steps[-1].step
+            points = labeling_schedule(j, 0.2, 0.1) + error_schedule(j, 0.2, 0.1)
+            drawn_pairs = 2 * pair_schedule(j, 0.1, 0.2, 2)
+            assert result.random_draws == points + 2 * drawn_pairs
+            assert result.label_queries == oracle.queries == points + 2 * sum(labeled)
+            assert 0 < sum(labeled) < drawn_pairs
 
     def test_usage_rows_nondecreasing(self):
         oracle = TreeOracle(DICTATOR, 2)
@@ -266,8 +310,6 @@ class TestPracticalBuilder:
 
     def test_returned_error_small_on_biased_targets(self):
         rng = np.random.default_rng(30)
-        from greedytree.targets import generate_random_tree
-
         for seed in range(4):
             n = 4
             target = generate_random_tree(n, 3, rng)
