@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .core import (
@@ -35,11 +36,12 @@ from .exact import DEFAULT_MAX_FREE_COORDS, tree_error
 from .experiments import (
     ExperimentConfig,
     run_experiment,
+    write_csv,
     write_results_csv,
     write_timing_csv,
 )
-from .greedy import build_topdown_exact
-from .sampling import build_topdown_practical
+from .greedy import GreedyStep, build_topdown_exact
+from .sampling import PracticalStep, build_topdown_practical
 from .verify import run_property_suite
 
 USAGE_ERROR, VIOLATION = 1, 2
@@ -124,11 +126,15 @@ def _run_props(seed: int, count: int, out: str | None, witness_dir: str | None) 
                 target.write_text(doc, encoding="utf-8")
                 witness_paths.setdefault(idx, str(stem))
     if out:
-        lines = [f"# greedytree-props-v1 seed={seed} count={count}", "check,seed,passed,witness,detail"]
-        for idx, r in enumerate(reports):
-            detail = r.detail.replace(",", ";")
-            lines.append(f"{r.check},{r.seed},{str(r.passed).lower()},{witness_paths.get(idx, '')},{detail}")
-        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = (
+            (r.check, r.seed, bool(r.passed), witness_paths.get(idx, ""),
+             r.detail.replace(",", ";"))
+            for idx, r in enumerate(reports)
+        )
+        write_csv(
+            out, ("check", "seed", "passed", "witness", "detail"), rows,
+            f"greedytree-props-v1 seed={seed} count={count}",
+        )
     for r in failures:
         print(f"VIOLATION {r.check} seed={r.seed}: {r.detail}", file=sys.stderr)
     print(f"props: {len(reports)} checks on {count} instances, {len(failures)} violations")
@@ -141,39 +147,22 @@ def _cmd_build(args) -> int:
     epsilon = args.epsilon / 2.0 if args.halve_epsilon else args.epsilon
     if args.mode == "exact":
         result = build_topdown_exact(target, dist, epsilon, max_splits=args.max_splits)
-        steps = result.steps
-        if args.trace_out:
-            lines = ["step,leaf_count,leaf_id,coord,score,cost_before,cost_after,completion_error"]
-            lines += [
-                f"{s.step},{s.leaf_count},{s.leaf_id},{s.coord},{s.score!r},"
-                f"{s.cost_before!r},{s.cost_after!r},{s.completion_error!r}"
-                for s in steps
-            ]
-            Path(args.trace_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        step_type = GreedyStep
     else:
         result = build_topdown_practical(
             TreeOracle(target, dist.n), dist, epsilon, args.delta,
             seed=args.seed, max_splits=args.max_splits,
         )
-        if args.trace_out:
-            lines = ["step,leaf_count,mismatches,error_samples,terminated,split_leaf,split_coord,best_estimate"]
-            for s in result.steps:
-                est = "" if s.best_estimate is None else repr(s.best_estimate)
-                lines.append(
-                    f"{s.step},{s.leaf_count},{s.mismatches},{s.error_samples},"
-                    f"{str(s.terminated).lower()},"
-                    f"{'' if s.split_leaf is None else s.split_leaf},"
-                    f"{'' if s.split_coord is None else s.split_coord},{est}"
-                )
-            Path(args.trace_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        step_type = PracticalStep
         if args.usage_out:
-            lines = ["step,leaves,M_S,M_LL,M_EE,cumulative_label_queries,cumulative_random_draws"]
-            lines += [
-                f"{u.step},{u.leaves},{u.pair_floor},{u.labeling_floor},{u.error_floor},"
-                f"{u.label_queries},{u.random_draws}"
-                for u in result.usage
-            ]
-            Path(args.usage_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_csv(
+                args.usage_out,
+                ("step", "leaves", "M_S", "M_LL", "M_EE",
+                 "cumulative_label_queries", "cumulative_random_draws"),
+                map(astuple, result.usage),
+            )
+    if args.trace_out:
+        write_csv(args.trace_out, [f.name for f in fields(step_type)], map(astuple, result.steps))
     if args.out:
         Path(args.out).write_text(serialize_tree(result.tree) + "\n", encoding="utf-8")
     err = ""

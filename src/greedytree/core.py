@@ -270,24 +270,12 @@ def leaf_paths(tree: Tree) -> list[tuple[Restriction, Node]]:
 
 def size(tree: Tree) -> int:
     """Number of leaves (= number of internal nodes + 1)."""
-
-    def count(node: Node) -> int:
-        if isinstance(node, Internal):
-            return count(node.lo) + count(node.hi)
-        return 1
-
-    return count(tree.root)
+    return len(leaf_paths(tree))
 
 
 def max_depth(tree: Tree) -> int:
     """Longest root-to-leaf path, in edges."""
-
-    def depth(node: Node) -> int:
-        if isinstance(node, Internal):
-            return 1 + max(depth(node.lo), depth(node.hi))
-        return 0
-
-    return depth(tree.root)
+    return max(len(restriction) for restriction, _ in leaf_paths(tree))
 
 
 def average_depth(tree: Tree, dist: ProductDistribution) -> float:
@@ -304,16 +292,8 @@ def average_depth(tree: Tree, dist: ProductDistribution) -> float:
 
 
 def tree_variables(tree: Tree) -> frozenset[int]:
-    out: set[int] = set()
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Internal):
-            out.add(node.var)
-            walk(node.lo)
-            walk(node.hi)
-
-    walk(tree.root)
-    return frozenset(out)
+    """Every queried coordinate: each internal node lies on some leaf's path."""
+    return frozenset().union(*(restriction.coordinates() for restriction, _ in leaf_paths(tree)))
 
 
 def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -> BareTree:
@@ -375,17 +355,17 @@ def route_codes(tree: Tree | Node, codes: np.ndarray) -> np.ndarray:
     """Vectorized :func:`route` over packed codes; returns int64 labels/ids."""
     root = tree.root if isinstance(tree, (DecisionTree, BareTree)) else tree
     out = np.empty(len(codes), dtype=np.int64)
-
-    def walk(node: Node, idx: np.ndarray) -> None:
+    # An explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle, which would keep ``codes`` and ``out`` alive until
+    # the cyclic garbage collector runs.
+    stack = [(root, np.arange(len(codes)))]
+    while stack:
+        node, idx = stack.pop()
         if isinstance(node, Internal):
-            bit = (codes[idx] >> np.uint64(node.var)) & np.uint64(1)
-            hi = bit.astype(bool)
-            walk(node.lo, idx[~hi])
-            walk(node.hi, idx[hi])
+            hi = ((codes[idx] >> np.uint64(node.var)) & np.uint64(1)).astype(bool)
+            stack += [(node.hi, idx[hi]), (node.lo, idx[~hi])]
         else:
             out[idx] = node.label if isinstance(node, Leaf) else node.id
-
-    walk(root, np.arange(len(codes)))
     return out
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "LeafInfo",
     "SubfunctionView",
     "SubfunctionSummary",
-    "completion_labels",
     "cost",
     "f_completion",
     "leaf_info",
@@ -292,32 +291,23 @@ def cost(
     )
 
 
-def completion_labels(
-    bare: BareTree,
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> dict[int, int]:
-    """Conditional majority label per leaf; exact ties resolve to +1."""
-    labels: dict[int, int] = {}
-    for restriction, leaf in leaf_paths(bare):
-        mu = positive_mass(SubfunctionView(oracle, restriction), dist, max_free)
-        labels[leaf.id] = 1 if mu >= 0.5 else -1
-    return labels
-
-
 def f_completion(
     bare: BareTree,
     oracle: TargetOracle,
     dist: ProductDistribution,
     max_free: int = DEFAULT_MAX_FREE_COORDS,
 ) -> DecisionTree:
-    """Label every leaf with the target's conditional majority.
+    """Label every leaf with the target's conditional majority; exact ties
+    resolve to +1.
 
     Among all labelings of this bare tree, the result minimizes the exact
     disagreement probability with the target.
     """
-    return label_leaves(bare, completion_labels(bare, oracle, dist, max_free))
+    labels: dict[int, int] = {}
+    for restriction, leaf in leaf_paths(bare):
+        mu = positive_mass(SubfunctionView(oracle, restriction), dist, max_free)
+        labels[leaf.id] = 1 if mu >= 0.5 else -1
+    return label_leaves(bare, labels)
 
 
 def tree_error(

@@ -15,6 +15,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "TargetSpec",
     "aggregate_rows",
     "run_experiment",
+    "write_csv",
     "write_results_csv",
     "write_timing_csv",
     "RESULT_FIELDS",
@@ -120,6 +122,8 @@ class ExperimentConfig:
                 raise ValueError(f"bias must lie in (0,1), got {p}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.max_splits is not None and self.max_splits < 0:
+            raise ValueError(f"max_splits must be >= 0, got {self.max_splits}")
         for n in self.n:
             for t in self.targets:
                 if t.family == "balanced" and t.param(n) > n:
@@ -301,6 +305,8 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -308,20 +314,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def write_csv(
+    path: str, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None
+) -> None:
+    """The one CSV writer: an optional '# comment' line, the header, then one
+    line per row.  Floats are written with ``repr``, booleans as
+    true/false and ``None`` as an empty cell, so the file is byte-stable."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_results_csv(path: str, config: ExperimentConfig, rows: list[dict]) -> None:
     """Fixed-schema CSV with a '#' provenance header; byte-stable for a
     fixed config and seed."""
-    lines = [f"# greedytree-experiment-v1 config_sha256={config.sha()} seed={config.seed}"]
-    lines.append(",".join(RESULT_FIELDS))
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(f, "")) for f in RESULT_FIELDS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path, RESULT_FIELDS, ([row.get(f, "") for f in RESULT_FIELDS] for row in rows),
+        f"greedytree-experiment-v1 config_sha256={config.sha()} seed={config.seed}",
+    )
 
 
 def write_timing_csv(path: str, timings: list[dict]) -> None:
-    lines = ["point,rep,wall_ms"]
-    for t in timings:
-        lines.append(f"{t['point']},{t['rep']},{t['wall_ms']}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path, ("point", "rep", "wall_ms"), ((t["point"], t["rep"], t["wall_ms"]) for t in timings)
+    )

@@ -110,6 +110,8 @@ def build_topdown_exact(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
+    if max_splits is not None and max_splits < 0:
+        raise ValueError(f"max_splits must be >= 0, got {max_splits}")
     if isinstance(target, DecisionTree):
         oracle: TargetOracle = TreeOracle(target, dist.n)
     else:

@@ -10,11 +10,13 @@ budget delta:
 * a pool of labeled points for majority leaf labeling;
 * an independent pool of labeled points for the stopping test.
 
-Pools are stored partitioned across the current leaves (each sample lives
-at the leaf its first element reaches).  When a leaf splits, its samples
-are re-routed to the children; fresh draws are routed from the root, so
-per-leaf counts follow the correct conditional law while the pool totals
-meet the floors exactly.
+Every pool is a bare uint64 code array, partitioned across the current
+leaves: each sample lives at the leaf its first element reaches.  The
+labeling and stopping-test points are kept in one array per label, so every
+count the builder reads is an array length.  When a leaf splits, each of its
+arrays is partitioned by the split bit; fresh draws are routed from the root
+once per batch, so per-leaf counts follow the correct conditional law while
+the pool totals meet the floors exactly.
 
 A pair contributes to a leaf's score estimate only when both endpoints
 reach the leaf and the labels disagree.  If the redrawn coordinate is not
@@ -38,13 +40,15 @@ codes of the pairs whose labels disagree, and a leaf's hit count is the
 length of that array.  The redrawn endpoint is not needed: off the leaf's
 path it routes with x.
 
-Termination: label every leaf by majority, count stopping-pool points that
-disagree with their leaf's label, and stop once the total mismatch fraction
-is at most 3/4 of the working accuracy.
+Termination: label every leaf by the majority of its labeling points (ties
+go to +1), count the leaf's stopping-pool points of the other label as its
+mismatches, and stop once the total mismatch fraction is at most 3/4 of the
+working accuracy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Container, Mapping
@@ -129,11 +133,12 @@ def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
     return (codes & np.uint64(1 << coord)) != 0
 
 
-def _group_by_leaf(leaf_ids: np.ndarray) -> dict[int, np.ndarray]:
+def _by_leaf(bare: BareTree, codes: np.ndarray) -> dict[int, np.ndarray]:
+    """Indices into ``codes``, grouped by the leaf of ``bare`` each code reaches."""
+    leaf_ids = route_codes(bare, codes)
     order = np.argsort(leaf_ids, kind="stable")
     ids, starts = np.unique(leaf_ids[order], return_index=True)
-    bounds = list(starts) + [len(order)]
-    return {int(ids[k]): order[bounds[k] : bounds[k + 1]] for k in range(len(ids))}
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,7 @@ def pair_hits(
     hits = batch.x_codes[np.flatnonzero(batch.x_labels != batch.alt_labels)]
     return {
         leaf_id: hits[idx]
-        for leaf_id, idx in _group_by_leaf(route_codes(bare, hits)).items()
+        for leaf_id, idx in _by_leaf(bare, hits).items()
         if batch.coord not in paths[leaf_id]
     }
 
@@ -208,53 +213,52 @@ def pair_hits(
 # ---------------------------------------------------------------------------
 
 
-_NO_CODES = np.empty(0, dtype=np.uint64)
-_NO_LABELS = np.empty(0, dtype=np.int8)
-
-
-class _LabeledPool:
-    """Labeled points owned by one leaf, with the count of +1 labels."""
-
-    __slots__ = ("codes", "labels", "positives")
-
-    def __init__(self, codes: np.ndarray = _NO_CODES, labels: np.ndarray = _NO_LABELS):
-        self.codes = codes
-        self.labels = labels
-        self.positives = int(np.count_nonzero(labels > 0))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def append(self, codes: np.ndarray, labels: np.ndarray) -> None:
-        self.codes = np.concatenate([self.codes, codes])
-        self.labels = np.concatenate([self.labels, labels])
-        self.positives += int(np.count_nonzero(labels > 0))
-
-    def split(self, coord: int) -> tuple["_LabeledPool", "_LabeledPool"]:
-        """The points with x_coord = 0, then those with x_coord = 1."""
-        side = _bit(self.codes, coord)
-        return (_LabeledPool(self.codes[~side], self.labels[~side]),
-                _LabeledPool(self.codes[side], self.labels[side]))
+# Keys of the derived random streams, which also key each leaf's pools.
+_LL_STREAM, _EE_STREAM, _PAIR_STREAM = 1, 2, 3
 
 
 @dataclass
 class _LeafState:
-    """One leaf's share of the pools: the labeling pool ``ll``, the
-    stopping-test pool ``ee``, and per coordinate off ``path`` the x codes
-    of the disagreeing pairs, whose count is the leaf's hit count."""
+    """One leaf's share of the pools, each a bare uint64 code array.
+
+    ``pools[_LL_STREAM, label]`` and ``pools[_EE_STREAM, label]`` hold the
+    leaf's labeling and stopping-test points of each label, +1 and -1.
+    ``pools[_PAIR_STREAM, i]`` holds, for each coordinate i off ``path``,
+    the x codes of the pairs that disagree at the leaf.  Every count is an
+    array length: the label is the labeling pool's majority (ties to +1),
+    the mismatches are the stopping-test points of the other label, and the
+    hit count for i is the length of the pair pool of i.
+    """
 
     path: frozenset[int]
-    ll: _LabeledPool
-    ee: _LabeledPool
-    pairs: dict[int, np.ndarray]
+    pools: dict[tuple[int, int], np.ndarray]
 
     @property
     def label(self) -> int:
-        return 1 if 2 * self.ll.positives >= len(self.ll) else -1
+        return 1 if len(self.pools[_LL_STREAM, 1]) >= len(self.pools[_LL_STREAM, -1]) else -1
 
     @property
     def mismatches(self) -> int:
-        return len(self.ee) - self.ee.positives if self.label == 1 else self.ee.positives
+        return len(self.pools[_EE_STREAM, -self.label])
+
+    @property
+    def error_samples(self) -> int:
+        return len(self.pools[_EE_STREAM, 1]) + len(self.pools[_EE_STREAM, -1])
+
+    def deposit(self, key: tuple[int, int], codes: np.ndarray) -> None:
+        self.pools[key] = np.concatenate([self.pools[key], codes])
+
+    def split(self, coord: int) -> tuple["_LeafState", "_LeafState"]:
+        """The children with x_coord = 0, then 1.  Every pool is partitioned
+        by the bit; the pair pool of ``coord`` is dropped, as the children
+        query it."""
+        path = self.path | {coord}
+        lo, hi = {}, {}
+        for key, codes in self.pools.items():
+            if key != (_PAIR_STREAM, coord):
+                side = _bit(codes, coord)
+                lo[key], hi[key] = codes[~side], codes[side]
+        return _LeafState(path, lo), _LeafState(path, hi)
 
 
 @dataclass(frozen=True)
@@ -303,9 +307,6 @@ class PracticalResult:
         return sum(1 for s in self.steps if s.split_leaf is not None)
 
 
-_LL_STREAM, _EE_STREAM, _PAIR_STREAM = 1, 2, 3
-
-
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
@@ -326,10 +327,7 @@ def build_topdown_practical(
     ``max_splits`` ran out (or no splittable leaf remained) before the
     stopping test passed.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    _check_step_params(1, epsilon, delta)
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     n = dist.n
@@ -337,116 +335,76 @@ def build_topdown_practical(
         raise ValueError(f"oracle has n={oracle.n}, distribution has n={n}")
     if max_splits is None:
         max_splits = 1 << min(n, 62)
+    elif max_splits < 0:
+        raise ValueError(f"max_splits must be >= 0, got {max_splits}")
 
     bare = BareTree(BareLeaf(0))
-    states = {0: _LeafState(frozenset(), _LabeledPool(), _LabeledPool(), dict.fromkeys(range(n), _NO_CODES))}
+    keys = [(s, label) for s in (_LL_STREAM, _EE_STREAM) for label in (1, -1)]
+    keys += [(_PAIR_STREAM, i) for i in range(n)]
+    states = {0: _LeafState(frozenset(), dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
     next_id = 1
     pool_totals = {i: 0 for i in range(n)}
+    floors = (0, 0, 0)  # per-coordinate pair, labeling and stopping-test floors
     label_queries = 0
     random_draws = 0
     steps: list[PracticalStep] = []
     usage: list[UsageRow] = []
 
-    def replenish(j_prev: int, j: int) -> None:
-        nonlocal label_queries, random_draws
-        prev_ll = labeling_schedule(j_prev, epsilon, delta) if j_prev >= 1 else 0
-        prev_ee = error_schedule(j_prev, epsilon, delta) if j_prev >= 1 else 0
-        prev_pairs = pair_schedule(j_prev, delta, epsilon, n) if j_prev >= 1 else 0
-        d_ll = labeling_schedule(j, epsilon, delta) - prev_ll
-        d_ee = error_schedule(j, epsilon, delta) - prev_ee
-        d_pairs = pair_schedule(j, delta, epsilon, n) - prev_pairs
-
-        for pool, count, key in (("ll", d_ll, _LL_STREAM), ("ee", d_ee, _EE_STREAM)):
-            if count <= 0:
-                continue
-            codes = dist.draw_codes(_stream(seed, key, j), count)
-            labels = oracle.label_codes(codes)
+    for j in itertools.count(1):
+        # Top every pool up to its step-j floor; a zero increment draws nothing.
+        new_floors = (
+            pair_schedule(j, delta, epsilon, n),
+            labeling_schedule(j, epsilon, delta),
+            error_schedule(j, epsilon, delta),
+        )
+        d_pairs, d_ll, d_ee = (new - old for new, old in zip(new_floors, floors))
+        floors = new_floors
+        for stream, count in ((_LL_STREAM, d_ll), (_EE_STREAM, d_ee)):
+            codes = dist.draw_codes(_stream(seed, stream, j), count)
+            positive = oracle.label_codes(codes) > 0
             label_queries += count
             random_draws += count
-            for leaf_id, idx in _group_by_leaf(route_codes(bare, codes)).items():
-                getattr(states[leaf_id], pool).append(codes[idx], labels[idx])
-        if d_pairs > 0:
-            paths = {leaf_id: st.path for leaf_id, st in states.items()}
-            for i in range(n):
-                batch = draw_pair_batch(oracle, dist, i, _stream(seed, _PAIR_STREAM, j, i), d_pairs)
-                label_queries += 2 * len(batch)
-                random_draws += 2 * batch.drawn
-                for leaf_id, hits in pair_hits(batch, bare, paths).items():
-                    pairs = states[leaf_id].pairs
-                    pairs[i] = np.concatenate([pairs[i], hits])
-                pool_totals[i] += batch.drawn
-        usage.append(
-            UsageRow(
-                step=j,
-                leaves=len(states),
-                pair_floor=pair_schedule(j, delta, epsilon, n),
-                labeling_floor=labeling_schedule(j, epsilon, delta),
-                error_floor=error_schedule(j, epsilon, delta),
-                label_queries=label_queries,
-                random_draws=random_draws,
-            )
-        )
+            for leaf_id, idx in _by_leaf(bare, codes).items():
+                side = positive[idx]
+                states[leaf_id].deposit((stream, 1), codes[idx[side]])
+                states[leaf_id].deposit((stream, -1), codes[idx[~side]])
+        paths = {leaf_id: st.path for leaf_id, st in states.items()}
+        for i in range(n):
+            batch = draw_pair_batch(oracle, dist, i, _stream(seed, _PAIR_STREAM, j, i), d_pairs)
+            label_queries += 2 * len(batch)
+            random_draws += 2 * batch.drawn
+            for leaf_id, hits in pair_hits(batch, bare, paths).items():
+                states[leaf_id].deposit((_PAIR_STREAM, i), hits)
+            pool_totals[i] += batch.drawn
+        usage.append(UsageRow(j, len(states), *floors, label_queries, random_draws))
 
-    j = 1
-    replenish(0, 1)
-
-    terminated = False
-    stop_reason = "stopping_test"
-    while True:
         mismatches = sum(st.mismatches for st in states.values())
-        error_samples = sum(len(st.ee) for st in states.values())
+        error_samples = sum(st.error_samples for st in states.values())
+        best = None
         if mismatches <= 0.75 * epsilon * error_samples:
-            steps.append(
-                PracticalStep(j, len(states), mismatches, error_samples, True, None, None, None)
-            )
-            terminated = True
-            break
-        if len(states) - 1 >= max_splits:
-            steps.append(
-                PracticalStep(j, len(states), mismatches, error_samples, False, None, None, None)
-            )
+            stop_reason = "stopping_test"
+        elif len(states) - 1 >= max_splits:
             stop_reason = "max_splits"
-            break
-
-        best: tuple[float, int, int] | None = None  # (estimate, leaf, coord)
-        for leaf_id in sorted(states):
-            st = states[leaf_id]
-            for i in range(n):
-                if i in st.path:
-                    continue
-                est = len(st.pairs[i]) / pool_totals[i]
-                if best is None or est > best[0]:
-                    best = (est, leaf_id, i)
+        else:
+            stop_reason = "no_splittable_leaf"  # read only if no candidate exists
+            candidates = [
+                (len(st.pools[_PAIR_STREAM, i]) / pool_totals[i], leaf_id, i)
+                for leaf_id, st in sorted(states.items())
+                for i in range(n)
+                if i not in st.path
+            ]
+            # max keeps the first of equal estimates: the lowest leaf id, then coordinate
+            best = max(candidates, key=lambda c: c[0], default=None)
+        terminated = stop_reason == "stopping_test"
+        est, split_id, coord = best or (None, None, None)
+        steps.append(PracticalStep(
+            j, len(states), mismatches, error_samples, terminated, split_id, coord, est
+        ))
         if best is None:
-            steps.append(
-                PracticalStep(j, len(states), mismatches, error_samples, False, None, None, None)
-            )
-            stop_reason = "no_splittable_leaf"
             break
-
-        est, split_id, coord = best
-        steps.append(
-            PracticalStep(j, len(states), mismatches, error_samples, False, split_id, coord, est)
-        )
-
-        lo_id, hi_id = next_id, next_id + 1
+        bare = split_leaf(bare, split_id, coord, next_id, next_id + 1)
+        states[next_id], states[next_id + 1] = states.pop(split_id).split(coord)
         next_id += 2
-        bare = split_leaf(bare, split_id, coord, lo_id, hi_id)
-        parent = states.pop(split_id)
-        path = parent.path | {coord}
-        ll_lo, ll_hi = parent.ll.split(coord)
-        ee_lo, ee_hi = parent.ee.split(coord)
-        pairs_lo, pairs_hi = {}, {}
-        for i, codes in parent.pairs.items():
-            if i == coord:
-                continue
-            side = _bit(codes, coord)
-            pairs_lo[i], pairs_hi[i] = codes[~side], codes[side]
-        states[lo_id] = _LeafState(path, ll_lo, ee_lo, pairs_lo)
-        states[hi_id] = _LeafState(path, ll_hi, ee_hi, pairs_hi)
-
-        j += 1
-        replenish(j - 1, j)
 
     return PracticalResult(
         tree=label_leaves(bare, {leaf_id: st.label for leaf_id, st in states.items()}),
@@ -454,7 +412,7 @@ def build_topdown_practical(
         steps=tuple(steps),
         usage=tuple(usage),
         terminated=terminated,
-        stop_reason=stop_reason if not terminated else "stopping_test",
+        stop_reason=stop_reason,
         label_queries=label_queries,
         random_draws=random_draws,
         epsilon=epsilon,

@@ -48,6 +48,18 @@ class TestBuild:
         assert len(lines) == 2
         assert "exact_error=0.0" in capsys.readouterr().out
 
+    def test_exact_trace_without_steps_keeps_its_header(self, workdir):
+        (workdir / "const.json").write_text('{"leaf": 1}')
+        trace = workdir / "trace.csv"
+        code = main([
+            "build", "--target", str(workdir / "const.json"), "--dist", str(workdir / "dist.json"),
+            "--epsilon", "0.1", "--mode", "exact", "--trace-out", str(trace),
+        ])
+        assert code == 0
+        assert trace.read_text() == (
+            "step,leaf_count,leaf_id,coord,score,cost_before,cost_after,completion_error\n"
+        )
+
     def test_practical_mode_writes_usage_schema(self, workdir):
         usage = workdir / "usage.csv"
         code = main([
@@ -182,6 +194,23 @@ class TestRun:
 class TestUsageErrors:
     def test_missing_subcommand_args(self):
         assert main(["build", "--epsilon", "0.1"]) == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "practical"])
+    def test_negative_max_splits(self, workdir, mode, capsys):
+        assert main([
+            "build", "--target", str(workdir / "target.json"), "--dist", str(workdir / "dist.json"),
+            "--epsilon", "0.2", "--mode", mode, "--max-splits", "-1",
+        ]) == 1
+        assert "max_splits" in capsys.readouterr().err
+
+    def test_negative_max_splits_in_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "single-run", "n": 3, "epsilon": 0.2, "biases": [0.5],
+            "targets": [{"family": "path"}], "max_splits": -1,
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

@@ -177,3 +177,8 @@ class TestValidation:
             build_topdown_exact(DICTATOR, UNIFORM2, epsilon=0.0)
         with pytest.raises(ValueError):
             build_topdown_exact(DICTATOR, UNIFORM2, epsilon=1.5)
+
+    def test_negative_max_splits_refused(self):
+        with pytest.raises(ValueError, match="max_splits"):
+            build_topdown_exact(DICTATOR, UNIFORM2, epsilon=0.1, max_splits=-1)
+        assert build_topdown_exact(DICTATOR, UNIFORM2, epsilon=0.1, max_splits=0).splits == 0

@@ -17,6 +17,8 @@ from greedytree.core import (
     ProductDistribution,
     TreeOracle,
     TruthTableOracle,
+    label_leaves,
+    leaf_paths,
     route_codes,
     size,
     split_leaf,
@@ -32,7 +34,11 @@ from greedytree.sampling import (
     pair_hits,
     pair_schedule,
 )
-from greedytree.targets import generate_balanced_target, generate_random_tree
+from greedytree.targets import (
+    generate_balanced_target,
+    generate_path_target,
+    generate_random_tree,
+)
 
 UNIFORM2 = ProductDistribution([0.5, 0.5])
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
@@ -329,3 +335,101 @@ class TestPracticalBuilder:
             build_topdown_practical(oracle, UNIFORM2, 0.1, 0.1, seed=-1)
         with pytest.raises(ValueError):
             build_topdown_practical(oracle, ProductDistribution([0.5]), 0.1, 0.1, seed=0)
+
+    def test_leaf_counts_are_array_lengths(self):
+        # a tie in the labeling pool, even an empty one, labels the leaf +1
+        codes = np.arange(3, dtype=np.uint64)
+        pools = {(sampling._LL_STREAM, 1): codes[:2], (sampling._LL_STREAM, -1): codes[1:],
+                 (sampling._EE_STREAM, 1): codes, (sampling._EE_STREAM, -1): codes[:1]}
+        leaf = sampling._LeafState(frozenset(), pools)
+        assert (leaf.label, leaf.mismatches, leaf.error_samples) == (1, 1, 4)
+        pools[sampling._LL_STREAM, 1] = pools[sampling._LL_STREAM, -1] = codes[:0]
+        assert leaf.label == 1
+        pools[sampling._LL_STREAM, -1] = codes[:1]
+        assert (leaf.label, leaf.mismatches) == (-1, 3)
+
+    def test_negative_max_splits_refused(self):
+        oracle = TreeOracle(DICTATOR, 2)
+        with pytest.raises(ValueError, match="max_splits"):
+            build_topdown_practical(oracle, UNIFORM2, 0.1, 0.1, seed=0, max_splits=-1)
+        result = build_topdown_practical(oracle, UNIFORM2, 0.1, 0.1, seed=0, max_splits=0)
+        assert result.splits == 0 and result.stop_reason == "max_splits"
+
+
+def _redraw(seed: int, stream: int, schedule, steps: int, *key: int) -> list:
+    """The increments of ``schedule`` for steps 1..``steps``, each with the
+    builder's stream for that step."""
+    floors = [0] + [schedule(j) for j in range(1, steps + 1)]
+    return [
+        (sampling._stream(seed, stream, j, *key), floors[j] - floors[j - 1])
+        for j in range(1, steps + 1)
+    ]
+
+
+class TestPoolsEqualRoutingFromScratch:
+    """The builder's partitioned pools count what routing every sample from
+    the root of the current tree counts."""
+
+    @pytest.mark.parametrize(
+        "n,p,family,depth,max_splits",
+        [(5, 0.3, "random", 3, None), (6, 0.5, "balanced", 2, None), (7, 0.3, "balanced", 4, None),
+         (6, 0.3, "balanced", 3, 3), (7, 0.5, "path", 7, None)],
+    )
+    def test_final_counts_and_last_split(self, n, p, family, depth, max_splits):
+        rng = np.random.default_rng([n, 17])
+        if family == "random":
+            target = generate_random_tree(n, depth, rng)
+        elif family == "balanced":
+            target = generate_balanced_target(depth, n, rng)
+        else:
+            target = generate_path_target(depth, rng)
+        oracle, dist = TreeOracle(target, n), ProductDistribution([p] * n)
+        eps, delta, seed = 0.2, 0.1, 11
+        result = build_topdown_practical(oracle, dist, eps, delta, seed=seed, max_splits=max_splits)
+        last = result.steps[-1]
+        assert result.stop_reason == ("max_splits" if max_splits else "stopping_test")
+
+        def points(stream, schedule):
+            draws = _redraw(seed, stream, lambda j: schedule(j, eps, delta), last.step)
+            return np.concatenate([dist.draw_codes(r, count) for r, count in draws])
+
+        ll = points(sampling._LL_STREAM, labeling_schedule)
+        ll_leaf, ll_positive = route_codes(result.bare, ll), oracle.label_codes(ll) > 0
+        labels = {}
+        for leaf_id in result.bare.leaf_ids():
+            here = ll_leaf == leaf_id
+            positives = np.count_nonzero(here & ll_positive)
+            labels[leaf_id] = 1 if 2 * positives >= np.count_nonzero(here) else -1
+        assert result.tree == label_leaves(result.bare, labels)
+        ee = points(sampling._EE_STREAM, error_schedule)
+        assert last.error_samples == len(ee)
+        assert last.mismatches == np.count_nonzero(
+            route_codes(result.tree, ee) != oracle.label_codes(ee)
+        )
+
+        # the last split, scored again on the tree replayed to that step
+        split = [s for s in result.steps if s.split_leaf is not None][-1]
+        bare, next_id = BareTree(BareLeaf(0)), 1
+        for s in result.steps[: split.step - 1]:
+            bare = split_leaf(bare, s.split_leaf, s.split_coord, next_id, next_id + 1)
+            next_id += 2
+        paths = {leaf.id: restriction.coordinates() for restriction, leaf in leaf_paths(bare)}
+        drawn = pair_schedule(split.step, delta, eps, n)
+        estimates = {}
+        for i in range(n):
+            hits = dict.fromkeys(paths, 0)
+            draws = _redraw(
+                seed, sampling._PAIR_STREAM, lambda j: pair_schedule(j, delta, eps, n), split.step, i
+            )
+            for r, count in draws:
+                batch = draw_pair_batch(oracle, dist, i, r, count)
+                for leaf_id, codes in pair_hits(batch, bare, paths).items():
+                    hits[leaf_id] += len(codes)
+            for leaf_id, path in paths.items():
+                if i not in path:
+                    estimates[leaf_id, i] = hits[leaf_id] / drawn
+        best = max(estimates.values())
+        assert split.best_estimate == best
+        assert (split.split_leaf, split.split_coord) == min(
+            key for key, estimate in estimates.items() if estimate == best
+        )
