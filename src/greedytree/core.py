@@ -11,13 +11,17 @@ format below uses the same convention.
 Points are handled in two equivalent forms: explicit 0/1 vectors for the
 public API, and packed integer codes (bit i of the code is coordinate i)
 for vectorized bulk work.
+
+Two walks serve every structural query: ``_leaves`` reads a tree into its
+(path, leaf) pairs, and ``_map_leaves`` rebuilds it with each leaf replaced.
+Only routing and the JSON converters keep their own descent.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -198,28 +202,46 @@ class Internal:
 Node = Union[Leaf, BareLeaf, Internal]
 
 
-def _validate(root: Node, want_bare: bool) -> None:
-    ids: set[int] = set()
-
-    def walk(node: Node, path: frozenset[int]) -> None:
+def _leaves(root: Node) -> list[tuple[tuple[tuple[int, int], ...], Node]]:
+    """Every (path, leaf) pair, left to right with lo before hi; a path is
+    the tuple of (variable, bit) queries from the root.  An explicit stack,
+    not a self-calling closure, so a call leaves no reference cycle behind.
+    """
+    out: list[tuple[tuple[tuple[int, int], ...], Node]] = []
+    stack = [((), 0, root)]  # (path, bitmask of its variables, node)
+    while stack:
+        path, used, node = stack.pop()
         if isinstance(node, Internal):
-            if node.var in path:
+            if used >> node.var & 1:
                 raise TreeFormatError(f"variable {node.var} repeated on a path")
-            walk(node.lo, path | {node.var})
-            walk(node.hi, path | {node.var})
-        elif isinstance(node, BareLeaf):
-            if not want_bare:
-                raise TreeFormatError("unlabeled leaf in a labeled tree")
-            if node.id in ids:
-                raise TreeFormatError(f"duplicate leaf identifier {node.id}")
-            ids.add(node.id)
-        elif isinstance(node, Leaf):
-            if want_bare:
-                raise TreeFormatError("labeled leaf in a bare tree")
+            used |= 1 << node.var
+            stack.append((path + ((node.var, 1),), used, node.hi))
+            stack.append((path + ((node.var, 0),), used, node.lo))  # lo pops first
+        elif isinstance(node, (Leaf, BareLeaf)):
+            out.append((path, node))
         else:
             raise TreeFormatError(f"not a tree node: {node!r}")
+    return out
 
-    walk(root, frozenset())
+
+def _map_leaves(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """The tree under ``node`` with each leaf replaced by ``fn(leaf)``."""
+    if isinstance(node, Internal):
+        return Internal(node.var, _map_leaves(node.lo, fn), _map_leaves(node.hi, fn))
+    return fn(node)
+
+
+def _validate(root: Node, want_bare: bool) -> None:
+    ids: set[int] = set()
+    for _, leaf in _leaves(root):
+        if isinstance(leaf, BareLeaf) != want_bare:
+            raise TreeFormatError(
+                "labeled leaf in a bare tree" if want_bare else "unlabeled leaf in a labeled tree"
+            )
+        if want_bare:
+            if leaf.id in ids:
+                raise TreeFormatError(f"duplicate leaf identifier {leaf.id}")
+            ids.add(leaf.id)
 
 
 @dataclass(frozen=True)
@@ -242,7 +264,7 @@ class BareTree:
         _validate(self.root, want_bare=True)
 
     def leaf_ids(self) -> list[int]:
-        return [leaf.id for _, leaf in leaf_paths(self)]
+        return [leaf.id for _, leaf in _leaves(self.root)]
 
 
 Tree = Union[DecisionTree, BareTree]
@@ -255,27 +277,17 @@ Tree = Union[DecisionTree, BareTree]
 
 def leaf_paths(tree: Tree) -> list[tuple[Restriction, Node]]:
     """All (path restriction, leaf) pairs in left-to-right order."""
-    out: list[tuple[Restriction, Node]] = []
-
-    def walk(node: Node, fixed: dict[int, int]) -> None:
-        if isinstance(node, Internal):
-            walk(node.lo, fixed | {node.var: 0})
-            walk(node.hi, fixed | {node.var: 1})
-        else:
-            out.append((Restriction(fixed), node))
-
-    walk(tree.root, {})
-    return out
+    return [(Restriction(path), leaf) for path, leaf in _leaves(tree.root)]
 
 
 def size(tree: Tree) -> int:
     """Number of leaves (= number of internal nodes + 1)."""
-    return len(leaf_paths(tree))
+    return len(_leaves(tree.root))
 
 
 def max_depth(tree: Tree) -> int:
     """Longest root-to-leaf path, in edges."""
-    return max(len(restriction) for restriction, _ in leaf_paths(tree))
+    return max(len(path) for path, _ in _leaves(tree.root))
 
 
 def average_depth(tree: Tree, dist: ProductDistribution) -> float:
@@ -293,7 +305,7 @@ def average_depth(tree: Tree, dist: ProductDistribution) -> float:
 
 def tree_variables(tree: Tree) -> frozenset[int]:
     """Every queried coordinate: each internal node lies on some leaf's path."""
-    return frozenset().union(*(restriction.coordinates() for restriction, _ in leaf_paths(tree)))
+    return frozenset(v for path, _ in _leaves(tree.root) for v, _ in path)
 
 
 def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -> BareTree:
@@ -302,33 +314,15 @@ def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -
     All other leaves keep their identifiers.  Raises if the leaf does not
     exist or the split would repeat a path variable or reuse an identifier.
     """
-    found = False
-
-    def walk(node: Node) -> Node:
-        nonlocal found
-        if isinstance(node, Internal):
-            return Internal(node.var, walk(node.lo), walk(node.hi))
-        if isinstance(node, BareLeaf) and node.id == leaf_id:
-            found = True
-            return Internal(var, BareLeaf(lo_id), BareLeaf(hi_id))
-        return node
-
-    new_root = walk(bare.root)
-    if not found:
+    if not any(leaf.id == leaf_id for _, leaf in _leaves(bare.root)):
         raise KeyError(f"no leaf with identifier {leaf_id}")
-    return BareTree(new_root)
+    fresh = Internal(var, BareLeaf(lo_id), BareLeaf(hi_id))
+    return BareTree(_map_leaves(bare.root, lambda leaf: fresh if leaf.id == leaf_id else leaf))
 
 
 def label_leaves(bare: BareTree, labels: Mapping[int, int]) -> DecisionTree:
     """The labeled tree of ``bare`` whose leaf ``id`` carries ``labels[id]``."""
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Internal):
-            return Internal(node.var, walk(node.lo), walk(node.hi))
-        assert isinstance(node, BareLeaf)
-        return Leaf(labels[node.id])
-
-    return DecisionTree(walk(bare.root))
+    return DecisionTree(_map_leaves(bare.root, lambda leaf: Leaf(labels[leaf.id])))
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +345,13 @@ def route(tree: Tree, x: Sequence[int]) -> int:
     return node.label if isinstance(node, Leaf) else node.id
 
 
-def route_codes(tree: Tree | Node, codes: np.ndarray) -> np.ndarray:
+def route_codes(tree: Tree, codes: np.ndarray) -> np.ndarray:
     """Vectorized :func:`route` over packed codes; returns int64 labels/ids."""
-    root = tree.root if isinstance(tree, (DecisionTree, BareTree)) else tree
     out = np.empty(len(codes), dtype=np.int64)
     # An explicit stack, not a recursive closure: a closure that calls itself
     # is a reference cycle, which would keep ``codes`` and ``out`` alive until
     # the cyclic garbage collector runs.
-    stack = [(root, np.arange(len(codes)))]
+    stack = [(tree.root, np.arange(len(codes)))]
     while stack:
         node, idx = stack.pop()
         if isinstance(node, Internal):
@@ -452,9 +445,9 @@ def _fill_table(tree: DecisionTree, n: int) -> np.ndarray:
     flattening puts the point with code c at index c.
     """
     cube = np.empty((2,) * n, dtype=np.int8)
-    for restriction, leaf in leaf_paths(tree):
+    for path, leaf in _leaves(tree.root):
         index = [slice(None)] * n
-        for i, b in restriction.items():
+        for i, b in path:
             index[n - 1 - i] = b
         cube[tuple(index)] = leaf.label
     return cube.reshape(-1)
@@ -544,19 +537,8 @@ def parse_tree(text: str, n: int | None = None) -> Tree:
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"invalid JSON: {exc}") from exc
     root = _node_from_obj(obj)
-
-    def kinds(node: Node) -> set[str]:
-        if isinstance(node, Internal):
-            return kinds(node.lo) | kinds(node.hi)
-        return {"bare" if isinstance(node, BareLeaf) else "labeled"}
-
-    found = kinds(root)
-    if found == {"bare"}:
-        tree: Tree = BareTree(root)
-    elif found == {"labeled"}:
-        tree = DecisionTree(root)
-    else:
-        raise TreeFormatError("tree mixes labeled and bare leaves")
+    # The first leaf decides the kind; construction rejects a leaf of the other.
+    tree: Tree = BareTree(root) if isinstance(_leaves(root)[0][1], BareLeaf) else DecisionTree(root)
     vs = tree_variables(tree)
     if n is not None and vs and max(vs) >= n:
         raise TreeFormatError(f"variable index {max(vs)} out of range for n={n}")

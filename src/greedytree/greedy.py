@@ -17,8 +17,8 @@ The target is labeled once per build: the root's enumeration labels all
 2^n points, and each split derives its two children from the parent's
 labels (:func:`greedytree.exact.split_children`), so a ``CountingOracle``
 target sees exactly 2^n queries.  The live leaves hold only their labels
-(2^n in all), not codes or weights; the final tree takes its labels from the positive masses
-already held.
+(2^n in all), not codes or weights; the final tree takes its labels from
+the positive masses already held.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .core import (
     Restriction,
     TargetOracle,
     TreeOracle,
-    average_depth,
     label_leaves,
-    max_depth,
     split_leaf,
 )
 from .exact import DEFAULT_MAX_FREE_COORDS, LeafInfo, leaf_info, split_children
@@ -104,29 +102,18 @@ def build_topdown_exact(
     is an epsilon-approximation (or ``max_splits`` is exhausted, in which
     case the partial result is flagged ``terminated=False``).
 
-    ``max_splits`` defaults to the guaranteed size bound when the target is
-    given as a tree (whose depths are then known), capped by 2^n, the
-    structural maximum.
+    ``max_splits`` defaults to 2^min(n, 62), the structural cap both
+    builders use.  The paper's size bound is no cap: the size-bound checks
+    exempt runs that end ``terminated=False``, so it could only hide what
+    they look for.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     if max_splits is not None and max_splits < 0:
         raise ValueError(f"max_splits must be >= 0, got {max_splits}")
-    if isinstance(target, DecisionTree):
-        oracle: TargetOracle = TreeOracle(target, dist.n)
-    else:
-        oracle = target
-    n = dist.n
-
-    structural = (1 << n) if n < 62 else (1 << 62)
+    oracle = TreeOracle(target, dist.n) if isinstance(target, DecisionTree) else target
     if max_splits is None:
-        if isinstance(target, DecisionTree):
-            log_bound = size_bound_log(epsilon, max_depth(target), average_depth(target, dist))
-            max_splits = structural if log_bound > 62 * math.log(2) else min(
-                structural, math.ceil(math.exp(log_bound))
-            )
-        else:
-            max_splits = structural
+        max_splits = 1 << min(dist.n, 62)
 
     leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction(), max_free)}
     bare = BareTree(BareLeaf(0))

@@ -343,7 +343,6 @@ def build_topdown_practical(
     keys += [(_PAIR_STREAM, i) for i in range(n)]
     states = {0: _LeafState(frozenset(), dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
     next_id = 1
-    pool_totals = {i: 0 for i in range(n)}
     floors = (0, 0, 0)  # per-coordinate pair, labeling and stopping-test floors
     label_queries = 0
     random_draws = 0
@@ -375,7 +374,6 @@ def build_topdown_practical(
             random_draws += 2 * batch.drawn
             for leaf_id, hits in pair_hits(batch, bare, paths).items():
                 states[leaf_id].deposit((_PAIR_STREAM, i), hits)
-            pool_totals[i] += batch.drawn
         usage.append(UsageRow(j, len(states), *floors, label_queries, random_draws))
 
         mismatches = sum(st.mismatches for st in states.values())
@@ -387,8 +385,9 @@ def build_topdown_practical(
             stop_reason = "max_splits"
         else:
             stop_reason = "no_splittable_leaf"  # read only if no candidate exists
+            # every coordinate has drawn exactly the pair floor, floors[0]
             candidates = [
-                (len(st.pools[_PAIR_STREAM, i]) / pool_totals[i], leaf_id, i)
+                (len(st.pools[_PAIR_STREAM, i]) / floors[0], leaf_id, i)
                 for leaf_id, st in sorted(states.items())
                 for i in range(n)
                 if i not in st.path

@@ -1,5 +1,6 @@
 """Core data model: routing, reach probabilities, depths, serialization."""
 
+import gc
 import json
 import dataclasses
 
@@ -21,6 +22,7 @@ from greedytree.core import (
     TreeOracle,
     TruthTableOracle,
     average_depth,
+    label_leaves,
     leaf_paths,
     max_depth,
     pack_bits,
@@ -212,9 +214,59 @@ class TestTreeInvariants:
         with pytest.raises(KeyError):
             split_leaf(BareTree(BareLeaf(0)), 5, 0, 1, 2)
 
+    def test_split_rejects_reused_id_and_repeated_variable(self):
+        bare = BareTree(Internal(0, BareLeaf(0), BareLeaf(1)))
+        with pytest.raises(TreeFormatError, match="duplicate leaf identifier 0"):
+            split_leaf(bare, 1, 1, 0, 2)
+        with pytest.raises(TreeFormatError, match="repeated"):
+            split_leaf(bare, 1, 0, 2, 3)
+
+    def test_child_that_is_not_a_node_rejected(self):
+        with pytest.raises(TreeFormatError, match="not a tree node"):
+            DecisionTree(Internal(0, Leaf(1), "x"))
+        with pytest.raises(TreeFormatError, match="not a tree node"):
+            BareTree(Internal(0, BareLeaf(0), "x"))
+
     def test_nodes_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             DICTATOR.root.var = 1  # type: ignore[misc]
+
+
+class TestTreeWalks:
+    def test_leaf_paths_left_to_right(self):
+        hi = Internal(0, Internal(1, BareLeaf(0), BareLeaf(2)), BareLeaf(1))
+        bare = BareTree(Internal(2, BareLeaf(3), hi))
+        assert leaf_paths(bare) == [
+            (Restriction({2: 0}), BareLeaf(3)),
+            (Restriction({2: 1, 0: 0, 1: 0}), BareLeaf(0)),
+            (Restriction({2: 1, 0: 0, 1: 1}), BareLeaf(2)),
+            (Restriction({2: 1, 0: 1}), BareLeaf(1)),
+        ]
+        assert bare.leaf_ids() == [3, 0, 2, 1]
+
+    def test_no_cyclic_garbage(self):
+        # a self-calling closure is a reference cycle that outlives its call
+        target = generate_balanced_target(4, 6, np.random.default_rng(0))
+        doc = serialize_tree(target)
+        bare = BareTree(Internal(0, BareLeaf(0), Internal(1, BareLeaf(1), BareLeaf(2))))
+        labels = dict.fromkeys(bare.leaf_ids(), 1)
+        calls = {
+            "leaf_paths": lambda: leaf_paths(target),
+            "size": lambda: size(target),
+            "DecisionTree": lambda: DecisionTree(target.root),
+            "BareTree": lambda: BareTree(bare.root),
+            "split_leaf": lambda: split_leaf(bare, 2, 2, 3, 4),
+            "label_leaves": lambda: label_leaves(bare, labels),
+            "parse_tree": lambda: parse_tree(doc),
+            "TreeOracle": lambda: TreeOracle(target, 6),
+        }
+        gc.disable()
+        try:
+            gc.collect()
+            left = {name: (call(), gc.collect())[1] for name, call in calls.items()}
+        finally:
+            gc.enable()
+        assert left == dict.fromkeys(calls, 0)
 
 
 class TestSerialization:
@@ -256,6 +308,8 @@ class TestSerialization:
     def test_mixed_leaves_rejected(self):
         with pytest.raises(TreeFormatError):
             parse_tree('{"var":0,"lo":{"leaf":1},"hi":{"leaf":null,"id":0}}')
+        with pytest.raises(TreeFormatError):
+            parse_tree('{"var":0,"lo":{"leaf":null,"id":0},"hi":{"leaf":1}}')
 
     def test_repeated_variable_rejected(self):
         with pytest.raises(TreeFormatError):

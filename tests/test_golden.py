@@ -70,3 +70,12 @@ def test_build_trace_digest(tmp_path, mode, seed):
         argv += ["--usage-out", str(outputs[2])]
     assert main(argv) == 0
     assert _sha(*outputs) == BUILD_SHA[(mode, seed)]
+
+
+PROPS_CSV_SHA = "0e2c02b7154003b86488f10f63bb511badce0a0676fe976fc83a329da154ed30"
+
+
+def test_props_csv_digest(tmp_path):
+    out = tmp_path / "props.csv"
+    assert main(["props", "--seed", "0", "--count", "60", "--out", str(out)]) == 0
+    assert _sha(out) == PROPS_CSV_SHA

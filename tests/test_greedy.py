@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from greedytree import greedy
 from greedytree.core import (
     CountingOracle,
     DecisionTree,
@@ -65,6 +66,14 @@ class TestTermination:
         assert not result.terminated
         assert result.splits == 1
         assert result.final_error > 0.01
+
+    def test_default_cap_is_structural_not_the_size_bound(self, monkeypatch):
+        # a size bound of e^0 = 1 would stop parity after one split; the
+        # default cap is 2^n, so the run still reaches the error target
+        monkeypatch.setattr(greedy, "size_bound_log", lambda *args: 0.0)
+        result = build_topdown_exact(PARITY2, UNIFORM2, epsilon=0.01)
+        assert result.terminated
+        assert result.splits == 3
 
 
 class TestTrace:
