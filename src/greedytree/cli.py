@@ -60,7 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment grid from a JSON config")
     run.add_argument("--config", required=True, help="path to the experiment config JSON")
     run.add_argument("--out", required=True, help="results CSV path")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    run.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (default 1); each may also use one sample-drawing thread per CPU",
+    )
 
     props = sub.add_parser("props", help="run the property-check suite")
     props.add_argument("--seed", type=int, default=0)

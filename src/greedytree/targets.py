@@ -14,6 +14,22 @@ __all__ = [
 ]
 
 
+def _balanced_subtree(levels: int, available: list[int], rng: np.random.Generator) -> Node:
+    if levels == 0:
+        return Leaf(int(rng.choice([-1, 1])))
+    if levels == 1:
+        sign = int(rng.choice([-1, 1]))
+        var = int(rng.choice(available))
+        return Internal(var, Leaf(sign), Leaf(-sign))
+    var = int(rng.choice(available))
+    remaining = [i for i in available if i != var]
+    return Internal(
+        var,
+        _balanced_subtree(levels - 1, remaining, rng),
+        _balanced_subtree(levels - 1, remaining, rng),
+    )
+
+
 def generate_balanced_target(depth: int, n: int, rng: np.random.Generator) -> DecisionTree:
     """Complete binary tree of the given depth over distinct random
     variables per path.  Sibling leaves always get opposite labels, so no
@@ -24,18 +40,7 @@ def generate_balanced_target(depth: int, n: int, rng: np.random.Generator) -> De
     if depth < 0:
         raise ValueError("depth must be nonnegative")
 
-    def grow(d: int, available: list[int]) -> Node:
-        if d == depth:
-            return Leaf(int(rng.choice([-1, 1])))
-        if d == depth - 1:
-            sign = int(rng.choice([-1, 1]))
-            var = int(rng.choice(available))
-            return Internal(var, Leaf(sign), Leaf(-sign))
-        var = int(rng.choice(available))
-        remaining = [i for i in available if i != var]
-        return Internal(var, grow(d + 1, remaining), grow(d + 1, remaining))
-
-    return DecisionTree(grow(0, list(range(n))))
+    return DecisionTree(_balanced_subtree(depth, list(range(n)), rng))
 
 
 def generate_path_target(n: int, rng: np.random.Generator) -> DecisionTree:
@@ -50,20 +55,30 @@ def generate_path_target(n: int, rng: np.random.Generator) -> DecisionTree:
     if n < 1:
         raise ValueError("need at least one variable")
 
-    def label(depth: int) -> Leaf:
-        return Leaf(1 if depth % 2 == 1 else -1)
-
-    def grow(k: int) -> Node:
-        depth = k + 1
-        if k == n - 1:
-            lo, hi = label(depth), Leaf(-label(depth).label)
-        else:
-            lo, hi = label(depth), grow(k + 1)
+    # Built from the deepest node up, which is the order the coin flips are drawn in.
+    node: Node | None = None
+    for k in reversed(range(n)):
+        lo = Leaf(1 if k % 2 == 0 else -1)  # labels alternate with depth k + 1
+        hi = Leaf(-lo.label) if node is None else node
         if rng.random() < 0.5:
             lo, hi = hi, lo
-        return Internal(k, lo, hi)
+        node = Internal(k, lo, hi)
+    return DecisionTree(node)
 
-    return DecisionTree(grow(0))
+
+def _random_subtree(
+    depth: int, max_depth: int, available: list[int], rng: np.random.Generator
+) -> Node:
+    stop = depth >= max_depth or not available or (depth > 0 and rng.random() < 0.3)
+    if stop:
+        return Leaf(int(rng.choice([-1, 1])))
+    var = int(rng.choice(available))
+    remaining = [i for i in available if i != var]
+    return Internal(
+        var,
+        _random_subtree(depth + 1, max_depth, remaining, rng),
+        _random_subtree(depth + 1, max_depth, remaining, rng),
+    )
 
 
 def generate_random_tree(n: int, max_depth: int, rng: np.random.Generator) -> DecisionTree:
@@ -72,15 +87,7 @@ def generate_random_tree(n: int, max_depth: int, rng: np.random.Generator) -> De
     if not 1 <= max_depth <= n:
         raise ValueError(f"max_depth must lie in [1, {n}], got {max_depth}")
 
-    def grow(depth: int, available: list[int]) -> Node:
-        stop = depth >= max_depth or not available or (depth > 0 and rng.random() < 0.3)
-        if stop:
-            return Leaf(int(rng.choice([-1, 1])))
-        var = int(rng.choice(available))
-        remaining = [i for i in available if i != var]
-        return Internal(var, grow(depth + 1, remaining), grow(depth + 1, remaining))
-
-    return DecisionTree(grow(0, list(range(n))))
+    return DecisionTree(_random_subtree(0, max_depth, list(range(n)), rng))
 
 
 def generate_truth_table(n: int, rng: np.random.Generator) -> TruthTableOracle:

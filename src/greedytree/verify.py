@@ -189,13 +189,13 @@ def _table_as_tree(oracle: TargetOracle) -> DecisionTree:
     """Materialize any oracle as a complete tree (for witness replay)."""
     n = oracle.n
     labels = oracle.label_codes(np.arange(1 << n, dtype=np.uint64))
-
-    def grow(var: int, code: int) -> Node:
-        if var == n:
-            return Leaf(int(labels[code]))
-        return Internal(var, grow(var + 1, code), grow(var + 1, code | (1 << var)))
-
-    return DecisionTree(grow(0, 0))
+    # Level by level from the leaves: after level var, nodes[c] is the
+    # subtree reached when x_0..x_{var-1} spell the packed value c.
+    nodes: list[Node] = [Leaf(int(label)) for label in labels]
+    for var in reversed(range(n)):
+        half = 1 << var
+        nodes = [Internal(var, nodes[c], nodes[c + half]) for c in range(half)]
+    return DecisionTree(nodes[0])
 
 
 def _witness(instance: Instance) -> dict[str, str]:

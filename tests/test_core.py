@@ -3,11 +3,19 @@
 import gc
 import json
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greedytree import core
 from greedytree.core import (
     TABLE_MAX_COORDS,
     BareLeaf,
@@ -36,7 +44,13 @@ from greedytree.core import (
     split_leaf,
     unpack_bits,
 )
-from greedytree.targets import generate_balanced_target, generate_path_target, generate_random_tree
+from greedytree.targets import (
+    generate_balanced_target,
+    generate_path_target,
+    generate_random_tree,
+    generate_truth_table,
+)
+from greedytree.verify import _table_as_tree
 
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
 DEPTH2 = DecisionTree(
@@ -66,6 +80,128 @@ class TestProductDistribution:
         bits = unpack_bits(dist.draw_codes(np.random.default_rng(1), 200_000), 2)
         joint = float(np.mean(bits[:, 0] * bits[:, 1]))
         assert abs(joint - 0.24) < 0.01
+
+
+def _reference_draw(biases, rng, count):
+    """``draw_codes`` as one loop over coordinates on the caller's stream."""
+    codes = np.zeros(count, dtype=np.uint64)
+    for i, p in enumerate(biases):
+        codes |= (rng.random(count) < p).astype(np.uint64) << np.uint64(i)
+    return codes
+
+
+BLOCK = core._MIN_BLOCK
+# Where the block layout changes with two draw threads: inline below two
+# blocks, then two blocks up to four, then an even number.
+BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
+BLOCK_EDGES += [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 7 * BLOCK + 3]
+
+
+class TestDrawStream:
+    """Every split of a draw into blocks yields the one-loop codes and leaves
+    the generator where the loop leaves it."""
+
+    @staticmethod
+    def _assert_same_as_reference(dist, make_rng, count):
+        rng, ref = make_rng(), make_rng()
+        assert np.array_equal(dist.draw_codes(rng, count), _reference_draw(dist.biases, ref, count))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+        assert np.array_equal(rng.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("count", BLOCK_EDGES)
+    @pytest.mark.parametrize("n", [1, 20, 64])
+    def test_pcg64_matches_one_loop(self, monkeypatch, n, count):
+        monkeypatch.setattr(core, "_DRAW_THREADS", 2)  # the block path even on one CPU
+        dist = ProductDistribution(np.random.default_rng(n).uniform(0.05, 0.95, n))
+        self._assert_same_as_reference(dist, lambda: np.random.default_rng(count), count)
+
+    def test_numpy_integer_count(self, monkeypatch):
+        monkeypatch.setattr(core, "_DRAW_THREADS", 2)
+        dist = ProductDistribution([0.3] * 4)
+        self._assert_same_as_reference(dist, lambda: np.random.default_rng(2), np.int64(3 * BLOCK))
+
+    @pytest.mark.parametrize("count", [1, 2 * BLOCK + 1, 3 * BLOCK])
+    def test_pending_half_word_survives(self, monkeypatch, count):
+        # a float32 draw leaves half of a 64-bit output pending; advance() drops it
+        monkeypatch.setattr(core, "_DRAW_THREADS", 2)
+
+        def make_rng():
+            rng = np.random.default_rng(5)
+            rng.random(dtype=np.float32)
+            return rng
+
+        assert make_rng().bit_generator.state["has_uint32"] == 1
+        self._assert_same_as_reference(ProductDistribution([0.3] * 64), make_rng, count)
+
+    @pytest.mark.parametrize("count", [0, 3 * BLOCK])
+    def test_other_bit_generators_draw_inline(self, monkeypatch, count):
+        monkeypatch.setattr(core, "_DRAW_THREADS", 2)
+        dist = ProductDistribution([0.2, 0.7, 0.5])
+        self._assert_same_as_reference(dist, lambda: np.random.Generator(np.random.MT19937(3)), count)
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # more callers than CPUs, all starting the pool at once, with frequent thread switches
+        monkeypatch.setattr(core, "_DRAW_THREADS", 2)
+        monkeypatch.setattr(core, "_DRAW_POOL", [])
+        dist = ProductDistribution([0.3] * 8)
+        seeds = range(6)
+
+        def draw(seed):
+            return dist.draw_codes(np.random.default_rng(seed), 3 * BLOCK)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as callers:
+                drawn = list(callers.map(draw, seeds))
+        finally:
+            sys.setswitchinterval(switch)
+        for s, codes in zip(seeds, drawn):
+            want = _reference_draw(dist.biases, np.random.default_rng(s), 3 * BLOCK)
+            assert np.array_equal(codes, want)
+
+    def test_forked_child_draws_in_parallel(self):
+        # The child inherits the parent's thread pool object but none of its
+        # threads; a draw there must not wait on them.  Run in a subprocess
+        # so that a regression fails on the timeout instead of hanging.
+        script = textwrap.dedent(
+            """
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            import numpy as np
+
+            from greedytree import core
+
+            def draw(seed):
+                dist = core.ProductDistribution([0.3] * 8)
+                return dist.draw_codes(np.random.default_rng(seed), 4 * core._MIN_BLOCK).tolist()
+
+            if __name__ == "__main__":
+                core._DRAW_THREADS = 2
+                parent = draw(1)
+                assert core._DRAW_POOL, "the parent's draw did not start the pool"
+                fork = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(1, mp_context=fork) as pool:
+                    assert pool.submit(draw, 1).result() == parent
+                print("ok")
+            """
+        )
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the forked worker too
+            proc.communicate()
+            pytest.fail("a forked child's draw hung")
+        assert proc.returncode == 0, err
+        assert out.strip() == "ok"
 
 
 class TestReachProbability:
@@ -250,6 +386,8 @@ class TestTreeWalks:
         doc = serialize_tree(target)
         bare = BareTree(Internal(0, BareLeaf(0), Internal(1, BareLeaf(1), BareLeaf(2))))
         labels = dict.fromkeys(bare.leaf_ids(), 1)
+        table = generate_truth_table(4, np.random.default_rng(0))
+        dist = ProductDistribution([0.3] * 8)
         calls = {
             "leaf_paths": lambda: leaf_paths(target),
             "size": lambda: size(target),
@@ -259,6 +397,13 @@ class TestTreeWalks:
             "label_leaves": lambda: label_leaves(bare, labels),
             "parse_tree": lambda: parse_tree(doc),
             "TreeOracle": lambda: TreeOracle(target, 6),
+            "generate_balanced_target": lambda: generate_balanced_target(
+                4, 6, np.random.default_rng(1)
+            ),
+            "generate_path_target": lambda: generate_path_target(6, np.random.default_rng(1)),
+            "generate_random_tree": lambda: generate_random_tree(6, 4, np.random.default_rng(1)),
+            "_table_as_tree": lambda: _table_as_tree(table),
+            "draw_codes": lambda: dist.draw_codes(np.random.default_rng(1), 3 * BLOCK),
         }
         gc.disable()
         try:
