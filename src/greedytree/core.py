@@ -165,8 +165,8 @@ class ProductDistribution:
 
 
 # Parallel draws.  Blocks below this size cost more in thread hand-offs and
-# GIL contention than they gain: 4096-point blocks made the C6 grid (n=12,
-# 8K-33K points per draw) 1.5-1.9x slower on 2 CPUs.
+# GIL contention than they gain: 4096-point blocks made a C6 grid at n=12,
+# then drawing 8K-33K points per call, 1.5-1.9x slower on 2 CPUs.
 _MIN_BLOCK = 1 << 15
 if hasattr(os, "sched_getaffinity"):
     _DRAW_THREADS = len(os.sched_getaffinity(0))

@@ -5,8 +5,9 @@ three kinds of sample pools, each with a per-step floor that grows with the
 step counter j so that a union bound over all steps stays below the failure
 budget delta:
 
-* per-variable pools of labeled pairs (x, x') with x' equal to x except
-  that one coordinate is redrawn -- these feed the split-score estimates;
+* pools of labeled pairs (x, x') with x' equal to x except that one
+  coordinate i is redrawn, one pool per coordinate -- these feed the
+  split-score estimates;
 * a pool of labeled points for majority leaf labeling;
 * an independent pool of labeled points for the stopping test.
 
@@ -18,22 +19,36 @@ arrays is partitioned by the split bit; fresh draws are routed from the root
 once per batch, so per-leaf counts follow the correct conditional law while
 the pool totals meet the floors exactly.
 
+All coordinates share one draw of x per step.  The step draws ``d_pairs``
+points x, then ``d_pairs`` points y of the product of the marginals of the
+coordinates, and pairs x with x' = x except that bit i is y's bit for i, for
+every coordinate i.  So coordinate i's pool gets ``d_pairs`` new pairs, each
+an x ~ mu with bit i redrawn, as if it had been drawn alone.
+
 A pair contributes to a leaf's score estimate only when both endpoints
 reach the leaf and the labels disagree.  If the redrawn coordinate is not
 queried on the leaf's path, both endpoints reach it together; if it is
 queried, the endpoints either coincide (labels equal) or separate, so the
 contribution is zero either way and such pairs are skipped.  The estimate
-divides by the full per-variable pool size, which makes it an unbiased
-estimator of the true score -- a property the test suite checks by Monte
-Carlo against the exact engine.  :func:`pair_hits` is that estimator; the
-builder and the unbiasedness check in :mod:`greedytree.verify` both run it.
+divides by the full pool size, which makes it an unbiased estimator of the
+true score -- a property the test suite checks by Monte Carlo against the
+exact engine.  :func:`pair_hits` is that estimator; the builder and the
+unbiasedness check in :mod:`greedytree.verify` both run it.
+
+Sharing x is sound.  For each leaf and coordinate the estimate is still the
+mean of ``pair_floor`` iid indicators, each of the law a pair drawn for that
+coordinate alone has, so each one's Hoeffding bound holds as before.  The
+estimates of different coordinates now depend on each other, but the union
+bound over coordinates, leaves and steps needs no independence between the
+events it adds up.
 
 Only the pairs whose redrawn bit differs from x_i are labeled.  The others
 have x' = x, so their labels agree and they never count at any leaf; this
 is the 2 p_i (1 - p_i) factor in the closed form of the influence in
-:mod:`greedytree.exact`.  They are still drawn, from the same random stream,
-and still counted in the pool total, so every estimate is the same as if
-all pairs were labeled, at about 2 p_i (1 - p_i) of the label queries.
+:mod:`greedytree.exact`.  They are still drawn and still counted in the pool
+total, so every estimate is the same as if all pairs were labeled.  Each x
+with at least one flipped coordinate is labeled once, and each flipped
+x ^ (1 << i) once.
 
 So the builder keeps, per leaf and coordinate off its path, only the x
 codes of the pairs whose labels disagree, and a leaf's hit count is the
@@ -51,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Container, Mapping
+from typing import Container, Iterable, Mapping
 
 import numpy as np
 
@@ -59,6 +74,7 @@ from .core import (
     BareLeaf,
     BareTree,
     DecisionTree,
+    MAX_CODE_BITS,
     ProductDistribution,
     TargetOracle,
     label_leaves,
@@ -133,79 +149,114 @@ def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
     return (codes & np.uint64(1 << coord)) != 0
 
 
+def _groups(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """Indices into ``keys``, grouped by key, each group in ascending order."""
+    order = np.argsort(keys, kind="stable")
+    ids, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+
+
 def _by_leaf(bare: BareTree, codes: np.ndarray) -> dict[int, np.ndarray]:
     """Indices into ``codes``, grouped by the leaf of ``bare`` each code reaches."""
-    leaf_ids = route_codes(bare, codes)
-    order = np.argsort(leaf_ids, kind="stable")
-    ids, starts = np.unique(leaf_ids[order], return_index=True)
-    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+    return _groups(route_codes(bare, codes))
 
 
 @dataclass(frozen=True)
 class PairBatch:
-    """The labeled pairs of one draw for coordinate ``coord``.
+    """The labeled pairs of one shared draw of ``drawn`` points x.
 
-    ``drawn`` pairs were drawn; only those whose redrawn bit came out
-    different from x's are kept and labeled, so each x' is x with bit
-    ``coord`` flipped, labeled ``alt_labels``, and ``len`` counts the
-    labeled pairs.  Estimates divide by ``drawn``.
+    Each x is paired, for each coordinate i the batch was drawn for, with
+    x' equal to x except that bit i is redrawn.  Only the pairs whose
+    redrawn bit came out different from x's are labeled, so each x' is x
+    with bit i flipped.  ``x_labels`` and ``alt_labels`` hold the labels of
+    x and x', one entry per labeled pair, coordinate by coordinate in the
+    order given, and ``len`` counts the labeled pairs.  ``hit_codes``
+    and ``hit_coords`` hold the x and the coordinate of each pair whose
+    labels disagree.  The oracle labeled ``x_queries`` points x, each x
+    that flipped for some coordinate once, and one x' per labeled pair.
+    Estimates divide by ``drawn``.
     """
 
-    coord: int
-    x_codes: np.ndarray
     x_labels: np.ndarray
     alt_labels: np.ndarray
+    hit_codes: np.ndarray
+    hit_coords: np.ndarray
+    x_queries: int
     drawn: int
 
     def __len__(self) -> int:
-        return len(self.x_codes)
+        return len(self.x_labels)
+
+    @property
+    def label_queries(self) -> int:
+        return self.x_queries + len(self)
 
 
 def draw_pair_batch(
     oracle: TargetOracle,
     dist: ProductDistribution,
-    i: int,
+    coords: Iterable[int],
     rng: np.random.Generator,
     count: int,
 ) -> PairBatch:
-    """Draw ``count`` pairs for coordinate i and label the ones that flipped.
+    """Draw ``count`` points x, pair each with a redraw of every coordinate
+    in ``coords``, and label the pairs that flipped.
 
-    Each pair is an independent x ~ mu together with x' equal to x except
-    that coordinate i is redrawn from its marginal.  The redrawn bit equals
-    x_i with probability 1 - 2 p_i (1 - p_i); then x' = x and the pair
-    cannot disagree, so only the other pairs are labeled.  The random
-    stream is the same either way: ``count`` codes, then ``count`` uniforms
-    for the redrawn bits.
+    The redrawn bits are one more product draw, y of the marginals of
+    ``coords`` in their order: the bit of y for coordinate i equals x_i
+    with probability 1 - 2 p_i (1 - p_i), and then x' = x and the pair
+    cannot disagree.  So the stream is ``count`` codes of ``dist``, then
+    ``count`` uniforms per coordinate of ``coords``; for one coordinate
+    this is the stream of drawing that coordinate's pairs alone.
     """
-    if not 0 <= i < dist.n:
-        raise ValueError(f"coordinate {i} out of range for n={dist.n}")
+    coords = tuple(coords)
+    if not coords or len(set(coords)) < len(coords) or not all(0 <= i < dist.n for i in coords):
+        raise ValueError(f"need distinct coordinates in range for n={dist.n}, got {coords}")
     x = dist.draw_codes(rng, count)
-    redrawn = rng.random(count) < dist.biases[i]
+    y = ProductDistribution([dist.biases[i] for i in coords]).draw_codes(rng, count)
+    flips = [_bit(y, k) != _bit(x, i) for k, i in enumerate(coords)]
     # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
     # about 2.5x as long as flatnonzero followed by the integer gather.
-    x = x[np.flatnonzero(redrawn != _bit(x, i))]
-    return PairBatch(i, x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i)), count)
+    some = np.flatnonzero(np.logical_or.reduce(flips))
+    labels = np.zeros(count, dtype=np.int8)
+    labels[some] = oracle.label_codes(x[some])
+    x_labels, alt_labels, hit_codes, hit_coords = [], [], [], []
+    for i, flip in zip(coords, flips):
+        idx = np.flatnonzero(flip)
+        flipped = x[idx]
+        x_labels.append(labels[idx])
+        alt_labels.append(oracle.label_codes(flipped ^ np.uint64(1 << i)))
+        hits = flipped[np.flatnonzero(x_labels[-1] != alt_labels[-1])]
+        hit_codes.append(hits)
+        hit_coords.append(np.full(len(hits), i, dtype=np.uint8))
+    return PairBatch(
+        *(np.concatenate(parts) for parts in (x_labels, alt_labels, hit_codes, hit_coords)),
+        len(some),
+        count,
+    )
 
 
 def pair_hits(
     batch: PairBatch, bare: BareTree, paths: Mapping[int, Container[int]]
-) -> dict[int, np.ndarray]:
-    """The x codes of the batch's disagreeing pairs, grouped by leaf.
+) -> dict[tuple[int, int], np.ndarray]:
+    """The x codes of the batch's disagreeing pairs, keyed by (leaf, coordinate).
 
     A pair counts for a leaf when both endpoints reach it and their labels
     disagree.  Off the leaf's path (``paths[leaf_id]`` holds the coordinates
     it queries) the flipped coordinate is not queried, so x' reaches the
     leaf iff x does, and x alone is routed.  On the path x and x' part at
-    the query, so leaves that query ``batch.coord`` get no hits.  A leaf's
-    score estimate for the coordinate is its hit count over the number of
-    pairs drawn, not labeled.
+    the query, so a leaf gets no hits for the coordinates it queries.  A
+    leaf's score estimate for a coordinate is its hit count over the number
+    of pairs drawn, not labeled.
     """
-    hits = batch.x_codes[np.flatnonzero(batch.x_labels != batch.alt_labels)]
-    return {
-        leaf_id: hits[idx]
-        for leaf_id, idx in _by_leaf(bare, hits).items()
-        if batch.coord not in paths[leaf_id]
-    }
+    leaf_ids = route_codes(bare, batch.hit_codes)
+    groups = _groups(leaf_ids * MAX_CODE_BITS + batch.hit_coords)
+    hits = {}
+    for key, idx in groups.items():
+        leaf_id, i = divmod(key, MAX_CODE_BITS)
+        if i not in paths[leaf_id]:
+            hits[leaf_id, i] = batch.hit_codes[idx]
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +328,12 @@ class PracticalStep:
 
 @dataclass(frozen=True)
 class UsageRow:
-    """Cumulative sampling effort after the pools were topped up for step j."""
+    """Cumulative sampling effort after the pools were topped up for step j.
+
+    ``random_draws`` counts each point drawn from a product distribution
+    once: a step adds its labeling and stopping-test points and, for the
+    pairs, the shared points x and the points y of their redrawn bits.
+    """
 
     step: int
     leaves: int
@@ -290,6 +346,9 @@ class UsageRow:
 
 @dataclass(frozen=True)
 class PracticalResult:
+    """The grown tree and its record; ``label_queries`` and ``random_draws``
+    are the totals of the last :class:`UsageRow`."""
+
     tree: DecisionTree
     bare: BareTree
     steps: tuple[PracticalStep, ...]
@@ -321,8 +380,8 @@ def build_topdown_practical(
 ) -> PracticalResult:
     """Parameter-free sample-driven greedy induction.
 
-    Derived random streams are keyed by (purpose, step, coordinate), so a
-    fixed ``seed`` reproduces the run bit for bit.  Returns the majority
+    Derived random streams are keyed by (purpose, step), so a fixed
+    ``seed`` reproduces the run bit for bit.  Returns the majority
     labeling of the grown bare tree; ``terminated`` is False when
     ``max_splits`` ran out (or no splittable leaf remained) before the
     stopping test passed.
@@ -368,12 +427,11 @@ def build_topdown_practical(
                 states[leaf_id].deposit((stream, 1), codes[idx[side]])
                 states[leaf_id].deposit((stream, -1), codes[idx[~side]])
         paths = {leaf_id: st.path for leaf_id, st in states.items()}
-        for i in range(n):
-            batch = draw_pair_batch(oracle, dist, i, _stream(seed, _PAIR_STREAM, j, i), d_pairs)
-            label_queries += 2 * len(batch)
-            random_draws += 2 * batch.drawn
-            for leaf_id, hits in pair_hits(batch, bare, paths).items():
-                states[leaf_id].deposit((_PAIR_STREAM, i), hits)
+        batch = draw_pair_batch(oracle, dist, range(n), _stream(seed, _PAIR_STREAM, j), d_pairs)
+        label_queries += batch.label_queries
+        random_draws += 2 * d_pairs  # the points x and their redrawn bits y
+        for (leaf_id, i), hits in pair_hits(batch, bare, paths).items():
+            states[leaf_id].deposit((_PAIR_STREAM, i), hits)
         usage.append(UsageRow(j, len(states), *floors, label_queries, random_draws))
 
         mismatches = sum(st.mismatches for st in states.values())

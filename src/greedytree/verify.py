@@ -546,8 +546,8 @@ def _unbiasedness_probes(
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7001, i]))
         counts = np.zeros((resamples, len(leaves)))
         for r in range(resamples):
-            batch = draw_pair_batch(oracle, dist, i, rng, pair_count)
-            for lid, hits in pair_hits(batch, bare, paths).items():
+            batch = draw_pair_batch(oracle, dist, (i,), rng, pair_count)
+            for (lid, _), hits in pair_hits(batch, bare, paths).items():
                 counts[r, id_index[lid]] = len(hits)
         estimates = counts / pair_count
         for lid, reach, infl in leaves:

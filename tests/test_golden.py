@@ -28,12 +28,12 @@ GRID_CONFIG = {
     "seed": 7,
     "max_splits": 64,
 }
-GRID_CSV_SHA = "87979b66e8348b7310c29de734f831e40aab6224cbe33c9d13fd71bb8ccfd1c0"
+GRID_CSV_SHA = "ac19bd9ceb17308af05dbffd3e42a454f967c4f023b19e081887f49fe74a314d"
 
 BUILD_BIASES = [0.5, 0.3, 0.1, 0.7, 0.5, 0.2, 0.6, 0.4]
 BUILD_SHA = {
-    ("practical", 4): "40628526c0db3029f7caac2c37423d5127ff0979a857f8ea5ea0263feb6adb1a",
-    ("practical", 5): "76a2f9691ed9d74b3257c80923e1514047afecffb3cd95ff52a8786e874d220c",
+    ("practical", 4): "44f287c245b867fa7bdec3127695a897867d947e83ab2f08f8ad7ad5793522f5",
+    ("practical", 5): "d7ddec6a29f398c8bc0dc35f162ed37abe592e52f1672e6deb5503ec36b4a9ac",
     ("exact", 4): "88872a3cdbdaa014b1627b08a057207d3772a367a4c541157c727c43350c558c",
     ("exact", 5): "24c2fa3494ba572d824a375b65bb904f9f323ac2a04c4bb318dd0e756057ac0f",
 }

@@ -1,5 +1,6 @@
 """Schedules, pair sampling, the split-score estimator, and the sample-driven builder."""
 
+import copy
 import math
 
 import numpy as np
@@ -120,76 +121,158 @@ def _random_bare(n: int, rng: np.random.Generator, splits: int) -> tuple[BareTre
     return bare, paths
 
 
-def _hits_labeling_every_pair(oracle, dist, i, rng, count, bare):
-    """Reference estimator: label both endpoints of every drawn pair and
-    count a pair at a leaf when both endpoints reach it and disagree."""
+def _replay(dist, coords, rng, count):
+    """The points x of a pair draw and, per coordinate of ``coords``, the
+    redrawn bits: ``count`` codes, then ``count`` uniforms per coordinate."""
     x = dist.draw_codes(rng, count)
-    redrawn = (rng.random(count) < dist.biases[i]).astype(np.uint64)
-    alt = (x & ~np.uint64(1 << i)) | (redrawn << np.uint64(i))
-    disagree = oracle.label_codes(x) != oracle.label_codes(alt)
-    x, alt = x[disagree], alt[disagree]
-    x_leaf, alt_leaf = route_codes(bare, x), route_codes(bare, alt)
-    both = x_leaf == alt_leaf
-    return {int(leaf): x[both & (x_leaf == leaf)] for leaf in np.unique(x_leaf[both])}
+    return x, {i: rng.random(count) < dist.biases[i] for i in coords}
 
 
-def _estimate(batch, leaf_id, bare, paths) -> float:
-    return len(pair_hits(batch, bare, paths).get(leaf_id, ())) / batch.drawn
+def _flipped(x, redrawn):
+    """Per coordinate, the indices of the points whose redrawn bit differs."""
+    return {
+        i: np.flatnonzero(bits != ((x >> np.uint64(i)) & np.uint64(1)).astype(bool))
+        for i, bits in redrawn.items()
+    }
+
+
+def _hits_labeling_every_pair(oracle, dist, coords, rng, count, bare):
+    """Reference estimator: label both endpoints of every pair of the shared
+    draw, route both, and count a pair at (leaf, coordinate) when both
+    endpoints reach the leaf and disagree."""
+    x, redrawn = _replay(dist, coords, rng, count)
+    x_label, x_leaf = oracle.label_codes(x), route_codes(bare, x)
+    hits = {}
+    for i, bits in redrawn.items():
+        alt = (x & ~np.uint64(1 << i)) | (bits.astype(np.uint64) << np.uint64(i))
+        counted = (x_label != oracle.label_codes(alt)) & (x_leaf == route_codes(bare, alt))
+        for leaf in np.unique(x_leaf[counted]):
+            hits[int(leaf), i] = x[counted & (x_leaf == leaf)]
+    return hits
+
+
+def _per_coordinate_pair_draw(oracle, dist, i, rng, count):
+    """The pair draw for one coordinate as the builder made it when every
+    coordinate drew its own x, kept as a reference: the codes and both
+    labels of the pairs whose redrawn bit flipped."""
+    x = dist.draw_codes(rng, count)
+    redrawn = rng.random(count) < dist.biases[i]
+    x = x[np.flatnonzero(redrawn != ((x & np.uint64(1 << i)) != 0))]
+    return x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i))
+
+
+def _estimate(batch, leaf_id, coord, bare, paths) -> float:
+    return len(pair_hits(batch, bare, paths).get((leaf_id, coord), ())) / batch.drawn
+
+
+def _balanced_case(n, p, kind):
+    """A depth-min(n, 4) balanced target over n coordinates at bias p, as a
+    tree or a truth-table oracle; tree targets above n = 24 label by
+    routing instead of a table."""
+    rng = np.random.default_rng([n, int(p * 10)])
+    target = generate_balanced_target(min(n, 4), n, rng)
+    oracle = TreeOracle(target, n)
+    if kind == "table":
+        oracle = TruthTableOracle(oracle.label_codes(np.arange(1 << n, dtype=np.uint64)))
+    return target, oracle, ProductDistribution([p] * n), rng
 
 
 ROOT = BareTree(BareLeaf(0))
 ROOT_PATHS = {0: frozenset()}
+CASES = [(n, "tree") for n in (1, 5, 12, 25, 64)] + [(n, "table") for n in (1, 5, 12)]
 
 
 class TestDrawPair:
     def test_endpoints_differ_at_most_at_i(self):
-        # every labeled pair differs exactly at bit i, and both labels are the oracle's
+        # every labeled pair is (x, x with bit i flipped), coordinate by
+        # coordinate in the order given, and both labels are the oracle's
         oracle = TreeOracle(DICTATOR, 2)
-        for i in (0, 1):
-            batch = draw_pair_batch(oracle, UNIFORM2, i, np.random.default_rng(i), 500)
-            assert len(batch) > 0 and batch.drawn == 500 and batch.coord == i
-            assert np.array_equal(batch.x_labels, oracle.label_codes(batch.x_codes))
-            flipped = batch.x_codes ^ np.uint64(1 << i)
-            assert np.array_equal(batch.alt_labels, oracle.label_codes(flipped))
+        for coords in [(0,), (1,), (0, 1), (1, 0)]:
+            rng = np.random.default_rng(list(coords))
+            ref = copy.deepcopy(rng)
+            batch = draw_pair_batch(oracle, UNIFORM2, coords, rng, 500)
+            x, redrawn = _replay(UNIFORM2, coords, ref, 500)
+            flipped = [x[idx] for idx in _flipped(x, redrawn).values()]
+            assert len(batch) > 0 and batch.drawn == 500
+            assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(flipped)))
+            alt = [oracle.label_codes(f ^ np.uint64(1 << i)) for f, i in zip(flipped, coords)]
+            assert np.array_equal(batch.alt_labels, np.concatenate(alt))
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("count", [0, 1, 999, 70_000])
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
+    @pytest.mark.parametrize("n", [1, 5, 12, 25])
+    def test_one_coordinate_is_the_per_coordinate_draw(self, n, p, count):
+        # a batch for (i,) takes the stream positions, codes and labels of
+        # drawing coordinate i's pairs alone, and labels both endpoints of
+        # each labeled pair once; 70K points fill blocks on the draw threads
+        _, oracle, dist, _ = _balanced_case(n, p, "tree")
+        for i in sorted({0, n // 2, n - 1}):
+            ours, ref = np.random.default_rng([count, i]), np.random.default_rng([count, i])
+            counting = CountingOracle(oracle)
+            batch = draw_pair_batch(counting, dist, (i,), ours, count)
+            codes, x_labels, alt_labels = _per_coordinate_pair_draw(oracle, dist, i, ref, count)
+            assert np.array_equal(batch.x_labels, x_labels)
+            assert np.array_equal(batch.alt_labels, alt_labels)
+            assert np.array_equal(batch.hit_codes, codes[x_labels != alt_labels])
+            assert np.array_equal(batch.hit_coords, np.full(len(batch.hit_codes), i))
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert counting.queries == batch.label_queries == 2 * len(batch) == 2 * len(codes)
+
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    @pytest.mark.parametrize("n,kind", CASES)
+    def test_label_queries_count_each_x_once(self, n, kind, p):
+        # each x that flipped for some coordinate is labeled once, and each
+        # flipped x ^ (1 << i) once
+        _, oracle, dist, _ = _balanced_case(n, p, kind)
+        counting = CountingOracle(oracle)
+        rng = np.random.default_rng([n, 3])
+        ref = copy.deepcopy(rng)
+        batch = draw_pair_batch(counting, dist, range(n), rng, 3000)
+        flipped = _flipped(*_replay(dist, range(n), ref, 3000))
+        some = len(np.unique(np.concatenate(list(flipped.values()))))
+        assert counting.queries == batch.label_queries == some + sum(map(len, flipped.values()))
+        assert len(batch) == len(batch.alt_labels) == sum(map(len, flipped.values()))
+        assert batch.x_queries == some
+
+    @pytest.mark.parametrize("coords", [(), (-1,), (2,), (0, 2), (0, 0), (1, 0, 1)])
+    def test_bad_coordinates_refused_before_any_draw(self, coords):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="coordinates"):
+            draw_pair_batch(TreeOracle(DICTATOR, 2), UNIFORM2, coords, rng, 100)
+        assert rng.bit_generator.state == state
 
     def test_disagreement_rate_biased(self):
         # the redrawn bit differs from the original with probability 2 p (1-p)
         dist = ProductDistribution([0.3, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, dist, 0, np.random.default_rng(1), 100_000)
+        batch = draw_pair_batch(oracle, dist, (0,), np.random.default_rng(1), 100_000)
         assert abs(len(batch) / batch.drawn - 0.42) < 0.01
 
     def test_disagreement_rate_uniform(self):
         dist = ProductDistribution([0.5, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, dist, 0, np.random.default_rng(2), 100_000)
+        batch = draw_pair_batch(oracle, dist, (0,), np.random.default_rng(2), 100_000)
         assert abs(len(batch) / batch.drawn - 0.5) < 0.01
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
-    @pytest.mark.parametrize(
-        "n,kind", [(n, "tree") for n in (1, 5, 12, 25, 64)] + [(n, "table") for n in (1, 5, 12)]
-    )
+    @pytest.mark.parametrize("n,kind", CASES)
     def test_hits_equal_labeling_every_pair(self, n, kind, p):
-        # labeling only the flipped pairs leaves the hit arrays and the
-        # random stream exactly as labeling every pair of the same draw;
-        # tree targets above n = 24 label by routing instead of a table
-        rng = np.random.default_rng([n, int(p * 10)])
-        target = generate_balanced_target(min(n, 4), n, rng)
-        oracle = TreeOracle(target, n)
-        if kind == "table":
-            oracle = TruthTableOracle(oracle.label_codes(np.arange(1 << n, dtype=np.uint64)))
-        coords = tree_variables(target) | {0, n - 1}
-        dist = ProductDistribution([p] * n)
+        # labeling only the flipped pairs and routing only the disagreeing
+        # x leaves the hit arrays and the random stream exactly as labeling
+        # and routing both endpoints of every pair of the same shared draw
+        target, oracle, dist, rng = _balanced_case(n, p, kind)
         bare, paths = _random_bare(n, rng, min(n - 1, 3))
+        some = sorted(tree_variables(target) | {0, n - 1}, reverse=True)
         total_hits = 0
-        for i in sorted(coords):
-            ours, ref = np.random.default_rng([7, i]), np.random.default_rng([7, i])
-            batch = draw_pair_batch(oracle, dist, i, ours, 3000)
-            hits = pair_hits(batch, bare, paths)
-            expected = _hits_labeling_every_pair(oracle, dist, i, ref, 3000, bare)
+        for coords in (range(n), some):
+            ours, ref = np.random.default_rng([7, n]), np.random.default_rng([7, n])
+            hits = pair_hits(draw_pair_batch(oracle, dist, coords, ours, 3000), bare, paths)
+            expected = _hits_labeling_every_pair(oracle, dist, coords, ref, 3000, bare)
             assert sorted(hits) == sorted(expected)
-            for leaf_id, codes in expected.items():
-                assert np.array_equal(hits[leaf_id], codes)
+            for key, codes in expected.items():
+                assert np.array_equal(hits[key], codes)
             assert ours.random() == ref.random()
             total_hits += sum(map(len, hits.values()))
         assert total_hits > 0
@@ -197,35 +280,37 @@ class TestDrawPair:
 
 class TestScoreEstimate:
     def test_all_labels_agree_gives_zero(self):
-        codes = np.arange(8, dtype=np.uint64)
         ones = np.ones(8, dtype=np.int8)
-        batch = PairBatch(0, codes, ones, ones, 8)
+        none = np.empty(0, dtype=np.uint64)
+        batch = PairBatch(ones, ones, none, none.astype(np.uint8), 8, 8)
         assert pair_hits(batch, ROOT, ROOT_PATHS) == {}
-        assert _estimate(batch, 0, ROOT, ROOT_PATHS) == 0.0
+        assert _estimate(batch, 0, 0, ROOT, ROOT_PATHS) == 0.0
 
     def test_root_only_tree_counts_disagreements(self):
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, UNIFORM2, 0, np.random.default_rng(3), 4000)
+        batch = draw_pair_batch(oracle, UNIFORM2, (0, 1), np.random.default_rng(3), 4000)
         disagree = int(np.count_nonzero(batch.x_labels != batch.alt_labels))
-        assert _estimate(batch, 0, ROOT, ROOT_PATHS) == pytest.approx(disagree / 4000)
+        assert disagree > 0
+        assert _estimate(batch, 0, 0, ROOT, ROOT_PATHS) == pytest.approx(disagree / 4000)
+        assert _estimate(batch, 0, 1, ROOT, ROOT_PATHS) == 0.0
 
     def test_unbiased_for_dictator_root(self):
-        # mean over 200 fresh pools of 1000 pairs within 3 standard errors of 1/2
+        # mean over 200 fresh pools of 1000 pairs within 3 standard errors
+        # of 1/2, drawn for coordinate 0 alone and shared with coordinate 1
         oracle = TreeOracle(DICTATOR, 2)
-        rng = np.random.default_rng(4)
-        estimates = [
-            _estimate(draw_pair_batch(oracle, UNIFORM2, 0, rng, 1000), 0, ROOT, ROOT_PATHS)
-            for _ in range(200)
-        ]
-        stderr = np.std(estimates, ddof=1) / math.sqrt(200)
-        assert abs(np.mean(estimates) - 0.5) <= 3 * stderr
+        for coords in [(0,), (1, 0)]:
+            rng = np.random.default_rng(4)
+            batches = [draw_pair_batch(oracle, UNIFORM2, coords, rng, 1000) for _ in range(200)]
+            estimates = [_estimate(batch, 0, 0, ROOT, ROOT_PATHS) for batch in batches]
+            stderr = np.std(estimates, ddof=1) / math.sqrt(200)
+            assert abs(np.mean(estimates) - 0.5) <= 3 * stderr
 
     def test_pair_crossing_a_split_never_fires(self):
         # pairs redrawn on the split coordinate reach opposite children and
         # cannot contribute to either child's estimate
         bare = split_leaf(ROOT, 0, 0, 1, 2)
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, UNIFORM2, 0, np.random.default_rng(5), 5000)
+        batch = draw_pair_batch(oracle, UNIFORM2, (0,), np.random.default_rng(5), 5000)
         assert np.any(batch.x_labels != batch.alt_labels)
         assert pair_hits(batch, bare, {1: {0}, 2: {0}}) == {}
 
@@ -234,14 +319,19 @@ class TestScoreEstimate:
         # iff the redrawn point does: both-reach reduces to x-reach
         bare = split_leaf(ROOT, 0, 1, 1, 2)
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, UNIFORM2, 0, np.random.default_rng(6), 5000)
+        rng = np.random.default_rng(6)
+        ref = copy.deepcopy(rng)
+        batch = draw_pair_batch(oracle, UNIFORM2, (0, 1), rng, 5000)
         hits = pair_hits(batch, bare, {1: {1}, 2: {1}})
-        assert sorted(hits) == [1, 2]
-        for leaf, codes in hits.items():
+        assert sorted(hits) == [(1, 0), (2, 0)]
+        x, redrawn = _replay(UNIFORM2, (0, 1), ref, 5000)
+        flipped = x[_flipped(x, redrawn)[0]]
+        disagree = oracle.label_codes(flipped) != oracle.label_codes(flipped ^ np.uint64(1))
+        for (leaf, _), codes in hits.items():
             assert np.all(route_codes(bare, codes) == leaf)
             assert np.all(route_codes(bare, codes ^ np.uint64(1)) == leaf)
-            at_leaf = route_codes(bare, batch.x_codes) == leaf
-            assert len(codes) == np.count_nonzero(at_leaf & (batch.x_labels != batch.alt_labels))
+            at_leaf = route_codes(bare, flipped) == leaf
+            assert len(codes) == np.count_nonzero(at_leaf & disagree)
 
 
 class TestPracticalBuilder:
@@ -275,26 +365,32 @@ class TestPracticalBuilder:
         assert a.steps == b.steps
 
     def test_label_queries_match_schedules_exactly(self, monkeypatch):
-        # draws telescope to the step-J floors; label queries are the
-        # labeling and stopping pools plus both endpoints of each labeled pair
-        labeled = []
+        # draws telescope to the step-J floors, counting each drawn point
+        # once; label queries are the labeling and stopping pools, each x
+        # that flipped for some coordinate, and each flipped x ^ (1 << i)
+        labeled, flips = [], []
 
-        def recording(*args):
-            batch = draw_pair_batch(*args)
-            labeled.append(len(batch))
-            return batch
+        def recording(oracle, dist, coords, rng, count):
+            x, redrawn = _replay(dist, coords, copy.deepcopy(rng), count)
+            flipped = _flipped(x, redrawn)
+            some = len(np.unique(np.concatenate(list(flipped.values()))))
+            flips.append(sum(map(len, flipped.values())))
+            labeled.append(some + flips[-1])
+            return draw_pair_batch(oracle, dist, coords, rng, count)
 
         monkeypatch.setattr(sampling, "draw_pair_batch", recording)
         for p in (0.5, 0.1):
             labeled.clear()
+            flips.clear()
             oracle = CountingOracle(TreeOracle(DICTATOR, 2))
             result = build_topdown_practical(oracle, ProductDistribution([p, p]), 0.2, 0.1, seed=3)
             j = result.steps[-1].step
             points = labeling_schedule(j, 0.2, 0.1) + error_schedule(j, 0.2, 0.1)
-            drawn_pairs = 2 * pair_schedule(j, 0.1, 0.2, 2)
-            assert result.random_draws == points + 2 * drawn_pairs
-            assert result.label_queries == oracle.queries == points + 2 * sum(labeled)
-            assert 0 < sum(labeled) < drawn_pairs
+            drawn_pairs = pair_schedule(j, 0.1, 0.2, 2)
+            assert len(labeled) == j
+            assert result.random_draws == result.usage[-1].random_draws == points + 2 * drawn_pairs
+            assert result.label_queries == oracle.queries == points + sum(labeled)
+            assert 0 < sum(flips) < 2 * drawn_pairs
 
     def test_usage_rows_nondecreasing(self):
         oracle = TreeOracle(DICTATOR, 2)
@@ -356,12 +452,12 @@ class TestPracticalBuilder:
         assert result.splits == 0 and result.stop_reason == "max_splits"
 
 
-def _redraw(seed: int, stream: int, schedule, steps: int, *key: int) -> list:
+def _redraw(seed: int, stream: int, schedule, steps: int) -> list:
     """The increments of ``schedule`` for steps 1..``steps``, each with the
     builder's stream for that step."""
     floors = [0] + [schedule(j) for j in range(1, steps + 1)]
     return [
-        (sampling._stream(seed, stream, j, *key), floors[j] - floors[j - 1])
+        (sampling._stream(seed, stream, j), floors[j] - floors[j - 1])
         for j in range(1, steps + 1)
     ]
 
@@ -415,19 +511,20 @@ class TestPoolsEqualRoutingFromScratch:
             next_id += 2
         paths = {leaf.id: restriction.coordinates() for restriction, leaf in leaf_paths(bare)}
         drawn = pair_schedule(split.step, delta, eps, n)
-        estimates = {}
-        for i in range(n):
-            hits = dict.fromkeys(paths, 0)
-            draws = _redraw(
-                seed, sampling._PAIR_STREAM, lambda j: pair_schedule(j, delta, eps, n), split.step, i
-            )
-            for r, count in draws:
-                batch = draw_pair_batch(oracle, dist, i, r, count)
-                for leaf_id, codes in pair_hits(batch, bare, paths).items():
-                    hits[leaf_id] += len(codes)
-            for leaf_id, path in paths.items():
-                if i not in path:
-                    estimates[leaf_id, i] = hits[leaf_id] / drawn
+        hits = dict.fromkeys(((leaf_id, i) for leaf_id in paths for i in range(n)), 0)
+        draws = _redraw(
+            seed, sampling._PAIR_STREAM, lambda j: pair_schedule(j, delta, eps, n), split.step
+        )
+        for r, count in draws:
+            expected = _hits_labeling_every_pair(oracle, dist, range(n), r, count, bare)
+            for key, codes in expected.items():
+                hits[key] += len(codes)
+        estimates = {
+            (leaf_id, i): count / drawn
+            for (leaf_id, i), count in hits.items()
+            if i not in paths[leaf_id]
+        }
+        assert all(count == 0 for (leaf_id, i), count in hits.items() if i in paths[leaf_id])
         best = max(estimates.values())
         assert split.best_estimate == best
         assert (split.split_leaf, split.split_coord) == min(
