@@ -102,6 +102,8 @@ def _load_labeled_tree(path: str, n: int) -> DecisionTree:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     if config.experiment == "properties":
         return _run_props(config.seed, config.count, args.out, None)
@@ -114,6 +116,8 @@ def _cmd_run(args) -> int:
 
 
 def _run_props(seed: int, count: int, out: str | None, witness_dir: str | None) -> int:
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
     reports = run_property_suite(seed, count)
     failures = [r for r in reports if not r.passed]
     witness_paths: dict[int, str] = {}

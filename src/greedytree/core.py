@@ -14,7 +14,7 @@ for vectorized bulk work.
 
 Two walks serve every structural query: ``_leaves`` reads a tree into its
 (path, leaf) pairs, and ``_map_leaves`` rebuilds it with each leaf replaced.
-Only routing and the JSON converters keep their own descent.
+Routing has a third, ``route_groups``, read by ``route_codes`` and sampling.
 
 Large draws run on worker threads, one per CPU, in a module-private pool
 started by the first such draw.  The threads only fill disjoint slices of
@@ -56,6 +56,7 @@ __all__ = [
     "parse_tree",
     "route",
     "route_codes",
+    "route_groups",
     "serialize_distribution",
     "serialize_tree",
     "size",
@@ -436,20 +437,25 @@ def route(tree: Tree, x: Sequence[int]) -> int:
     return node.label if isinstance(node, Leaf) else node.id
 
 
-def route_codes(tree: Tree, codes: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`route` over packed codes; returns int64 labels/ids."""
-    out = np.empty(len(codes), dtype=np.int64)
-    # An explicit stack, not a recursive closure: a closure that calls itself
-    # is a reference cycle, which would keep ``codes`` and ``out`` alive until
-    # the cyclic garbage collector runs.
+def route_groups(tree: Tree, codes: np.ndarray) -> Iterator[tuple[Node, np.ndarray]]:
+    """Yield each reached leaf, left to right, with the ascending indices of its codes."""
+    # An explicit stack: a self-calling closure is a reference cycle, which
+    # keeps ``codes`` and the index arrays alive until the cyclic GC runs.
     stack = [(tree.root, np.arange(len(codes)))]
     while stack:
         node, idx = stack.pop()
         if isinstance(node, Internal):
             hi = ((codes[idx] >> np.uint64(node.var)) & np.uint64(1)).astype(bool)
             stack += [(node.hi, idx[hi]), (node.lo, idx[~hi])]
-        else:
-            out[idx] = node.label if isinstance(node, Leaf) else node.id
+        elif len(idx):
+            yield node, idx
+
+
+def route_codes(tree: Tree, codes: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`route` over packed codes; returns int64 labels/ids."""
+    out = np.empty(len(codes), dtype=np.int64)
+    for leaf, idx in route_groups(tree, codes):
+        out[idx] = leaf.label if isinstance(leaf, Leaf) else leaf.id
     return out
 
 
@@ -605,7 +611,7 @@ def _node_from_obj(obj: object) -> Node:
         return Internal(var, _node_from_obj(obj["lo"]), _node_from_obj(obj["hi"]))
     if "leaf" in obj:
         if obj["leaf"] is None:
-            if set(obj) != {"leaf", "id"} or not isinstance(obj["id"], int):
+            if set(obj) != {"leaf", "id"} or type(obj["id"]) is not int:  # not bool
                 raise TreeFormatError("bare leaf must be {'leaf': null, 'id': <int>}")
             return BareLeaf(obj["id"])
         if set(obj) != {"leaf"} or obj["leaf"] not in (-1, 1):

@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.max_splits is not None and self.max_splits < 0:
             raise ValueError(f"max_splits must be >= 0, got {self.max_splits}")
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
         for n in self.n:
             for t in self.targets:
                 if t.family == "balanced" and t.param(n) > n:

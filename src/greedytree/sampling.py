@@ -15,9 +15,9 @@ Every pool is a bare uint64 code array, partitioned across the current
 leaves: each sample lives at the leaf its first element reaches.  The
 labeling and stopping-test points are kept in one array per label, so every
 count the builder reads is an array length.  When a leaf splits, each of its
-arrays is partitioned by the split bit; fresh draws are routed from the root
-once per batch, so per-leaf counts follow the correct conditional law while
-the pool totals meet the floors exactly.
+arrays is partitioned by the split bit; one walk from the root hands each
+leaf its share of a fresh batch, so per-leaf counts follow the correct
+conditional law while the pool totals meet the floors exactly.
 
 All coordinates share one draw of x per step.  The step draws ``d_pairs``
 points x, then ``d_pairs`` points y of the product of the marginals of the
@@ -74,11 +74,11 @@ from .core import (
     BareLeaf,
     BareTree,
     DecisionTree,
-    MAX_CODE_BITS,
     ProductDistribution,
     TargetOracle,
     label_leaves,
-    route_codes,
+    route_codes,  # unused here; perfbench/layers.py looks it up on this module
+    route_groups,
     split_leaf,
 )
 
@@ -147,18 +147,6 @@ def error_schedule(j: int, epsilon: float, delta: float) -> int:
 
 def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
     return (codes & np.uint64(1 << coord)) != 0
-
-
-def _groups(keys: np.ndarray) -> dict[int, np.ndarray]:
-    """Indices into ``keys``, grouped by key, each group in ascending order."""
-    order = np.argsort(keys, kind="stable")
-    ids, starts = np.unique(keys[order], return_index=True)
-    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
-
-
-def _by_leaf(bare: BareTree, codes: np.ndarray) -> dict[int, np.ndarray]:
-    """Indices into ``codes``, grouped by the leaf of ``bare`` each code reaches."""
-    return _groups(route_codes(bare, codes))
 
 
 @dataclass(frozen=True)
@@ -244,18 +232,17 @@ def pair_hits(
     A pair counts for a leaf when both endpoints reach it and their labels
     disagree.  Off the leaf's path (``paths[leaf_id]`` holds the coordinates
     it queries) the flipped coordinate is not queried, so x' reaches the
-    leaf iff x does, and x alone is routed.  On the path x and x' part at
-    the query, so a leaf gets no hits for the coordinates it queries.  A
-    leaf's score estimate for a coordinate is its hit count over the number
-    of pairs drawn, not labeled.
+    leaf iff x does: one walk routes the x alone, and each leaf splits its
+    hits by coordinate.  On the path x and x' part at the query, so a leaf
+    gets no hits for the coordinates it queries.  Its score estimate for a
+    coordinate is its hit count over the number of pairs drawn, not labeled.
     """
-    leaf_ids = route_codes(bare, batch.hit_codes)
-    groups = _groups(leaf_ids * MAX_CODE_BITS + batch.hit_coords)
     hits = {}
-    for key, idx in groups.items():
-        leaf_id, i = divmod(key, MAX_CODE_BITS)
-        if i not in paths[leaf_id]:
-            hits[leaf_id, i] = batch.hit_codes[idx]
+    for leaf, idx in route_groups(bare, batch.hit_codes):
+        coords = batch.hit_coords[idx]
+        for i in np.flatnonzero(np.bincount(coords)).tolist():
+            if i not in paths[leaf.id]:
+                hits[leaf.id, i] = batch.hit_codes[idx[coords == i]]
     return hits
 
 
@@ -422,10 +409,10 @@ def build_topdown_practical(
             positive = oracle.label_codes(codes) > 0
             label_queries += count
             random_draws += count
-            for leaf_id, idx in _by_leaf(bare, codes).items():
+            for leaf, idx in route_groups(bare, codes):
                 side = positive[idx]
-                states[leaf_id].deposit((stream, 1), codes[idx[side]])
-                states[leaf_id].deposit((stream, -1), codes[idx[~side]])
+                states[leaf.id].deposit((stream, 1), codes[idx[side]])
+                states[leaf.id].deposit((stream, -1), codes[idx[~side]])
         paths = {leaf_id: st.path for leaf_id, st in states.items()}
         batch = draw_pair_batch(oracle, dist, range(n), _stream(seed, _PAIR_STREAM, j), d_pairs)
         label_queries += batch.label_queries

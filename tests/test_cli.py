@@ -212,6 +212,35 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, tmp_path, jobs, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({
+            "experiment": "single-run", "n": 3, "epsilon": 0.2, "biases": [0.5],
+            "targets": [{"family": "path"}],
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_count(self, capsys):
+        assert main(["props", "--count", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "--count" in captured.err and captured.out == ""
+
+    def test_zero_count_runs_nothing(self, capsys):
+        assert main(["props", "--count", "0"]) == 0
+        assert "0 checks on 0 instances" in capsys.readouterr().out
+
+    def test_negative_count_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "properties", "count": -3}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "count" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+        with pytest.raises(ValueError, match="count"):
+            ExperimentConfig.from_dict({"experiment": "properties", "count": -1})
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greedytree import core
 from greedytree.core import (
@@ -38,12 +38,14 @@ from greedytree.core import (
     parse_tree,
     route,
     route_codes,
+    route_groups,
     serialize_distribution,
     serialize_tree,
     size,
     split_leaf,
     unpack_bits,
 )
+from greedytree.sampling import build_topdown_practical
 from greedytree.targets import (
     generate_balanced_target,
     generate_path_target,
@@ -278,6 +280,36 @@ class TestRoute:
         x = unpack_bits(np.array([code], dtype=np.uint64), 6)[0]
         assert route(tree, x) == route(tree, list(x)) == int(route_codes(tree, pack_bits(x[None]))[0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 300), st.booleans())
+    @example(seed=0, count=0, bare=False)
+    @example(seed=0, count=0, bare=True)
+    def test_route_groups_partition_codes(self, seed, count, bare):
+        rng = np.random.default_rng(seed)
+        tree = generate_random_tree(6, 4, rng)
+        if bare:
+            ids = iter(rng.permutation(100).tolist())
+            tree = BareTree(core._map_leaves(tree.root, lambda leaf: BareLeaf(next(ids))))
+        codes = rng.integers(0, 1 << 6, size=count, dtype=np.uint64)
+        groups = list(route_groups(tree, codes))
+        # the groups are disjoint and cover every index once
+        reached = np.concatenate([np.empty(0, dtype=np.intp)] + [idx for _, idx in groups])
+        assert np.array_equal(np.sort(reached), np.arange(count))
+        leaves = {id(leaf): (rank, path) for rank, (path, leaf) in enumerate(leaf_paths(tree))}
+        ranks = []
+        written = np.empty(count, dtype=np.int64)
+        for leaf, idx in groups:
+            assert len(idx) and np.all(np.diff(idx) > 0)
+            rank, path = leaves[id(leaf)]
+            ranks.append(rank)
+            value = leaf.label if isinstance(leaf, Leaf) else leaf.id
+            for x in unpack_bits(codes[idx], 6):
+                assert route(tree, x) == value
+                assert all(x[i] == b for i, b in path.items())  # this leaf, not another
+            written[idx] = value
+        assert ranks == sorted(ranks)  # left to right
+        assert np.array_equal(route_codes(tree, codes), written)
+
 
 class TestDepths:
     def test_single_leaf(self):
@@ -404,6 +436,12 @@ class TestTreeWalks:
             "generate_random_tree": lambda: generate_random_tree(6, 4, np.random.default_rng(1)),
             "_table_as_tree": lambda: _table_as_tree(table),
             "draw_codes": lambda: dist.draw_codes(np.random.default_rng(1), 3 * BLOCK),
+            "route_groups": lambda: list(
+                route_groups(target, dist.draw_codes(np.random.default_rng(1), 999))
+            ),
+            "build_topdown_practical": lambda: build_topdown_practical(
+                TreeOracle(target, 6), ProductDistribution([0.3] * 6), 0.3, 0.2, 0, max_splits=3
+            ),
         }
         gc.disable()
         try:
@@ -446,7 +484,9 @@ class TestSerialization:
 
     def test_malformed_documents(self):
         for doc in ("{", "[1,2]", '{"leaf": 2}', '{"var": 0, "lo": {"leaf": 1}}',
-                    '{"leaf": null}', '{"var": "x", "lo": {"leaf":1}, "hi": {"leaf":1}}'):
+                    '{"leaf": null}', '{"var": "x", "lo": {"leaf":1}, "hi": {"leaf":1}}',
+                    '{"var":0,"lo":{"leaf":null,"id":true},"hi":{"leaf":null,"id":2}}',
+                    '{"leaf": null, "id": false}'):
             with pytest.raises(TreeFormatError):
                 parse_tree(doc)
 
