@@ -50,6 +50,7 @@ USAGE_ERROR, VIOLATION = 1, 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; reserve that for violations
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -62,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="results CSV path")
     run.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (default 1); each may also use one sample-drawing thread per CPU",
+        help="worker processes (default 1); each may also use one worker thread per CPU"
+        " for sample draws and exact influence reductions",
     )
 
     props = sub.add_parser("props", help="run the property-check suite")

@@ -173,6 +173,7 @@ if hasattr(os, "sched_getaffinity"):
     _DRAW_THREADS = len(os.sched_getaffinity(0))
 else:
     _DRAW_THREADS = os.cpu_count() or 1
+# The pool also runs the exact engine's per-coordinate influence reductions.
 _DRAW_POOL: list[ThreadPoolExecutor] = []  # at most one, made on first use
 if hasattr(os, "register_at_fork"):
     # A forked child inherits the pool object but none of its threads.

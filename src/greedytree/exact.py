@@ -22,10 +22,25 @@ in ascending order.  Its labels, reshaped to (-1, 2, 2^t), pair every point
 with its partner across that coordinate; the influence reduction and
 :func:`split_children` both read them that way.
 
+The reduction spends one compare and one masked gather of weights per
+free coordinate, and the coordinates are independent.  On an enumeration
+of at least two draw blocks (2^16 points) they are dealt round-robin to
+the draw threads of :mod:`greedytree.core`: the calling thread reduces
+the first share while the pool reduces the rest, so a 2-CPU machine runs
+two coordinates at a time.  Every coordinate's value comes from the same
+expression on either path, so the results are bit-identical.  Each summary
+also records its relevant coordinates, those with at least one
+disagreeing pair.  A coordinate the parent leaf found irrelevant has no
+disagreeing pair in any sub-region, so :func:`split_children` skips it, and
+a leaf with constant labels skips them all; a skipped coordinate keeps
+0.0, which is what its reduction would give.  Fresh summaries reduce every
+free coordinate.
+
 Enumeration refuses instances with more than ``DEFAULT_MAX_FREE_COORDS``
 free coordinates; callers may raise the cap explicitly.  At the cap one
-:func:`subfunction_summary` call labels 2^24 points, which took about 1.1 s
-and 500 MB of peak memory on a 2-vCPU machine (numpy 2.4).
+:func:`subfunction_summary` call labels 2^24 points (a depth-6 balanced
+target), which took about 1.2-1.5 s, against 1.6-1.7 s on one thread, and
+390 MB of peak memory on a 2-vCPU machine (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import (
     BareTree,
     DecisionTree,
@@ -125,12 +141,15 @@ def _codes(view: SubfunctionView, dist: ProductDistribution, max_free: int) -> n
 class SubfunctionSummary:
     """Positive mass and every coordinate's influence, re-randomization and
     flip forms (exactly 0 on restricted coordinates), of one subfunction,
-    plus its ±1 values in enumeration order."""
+    plus its ±1 values in enumeration order and its relevant coordinates:
+    those with at least one pair of points, differing only there, that the
+    subfunction labels differently."""
 
     positive_mass: float
     influences: np.ndarray
     flip_influences: np.ndarray
     labels: np.ndarray = field(repr=False, compare=False)
+    relevant: frozenset[int] = field(repr=False, compare=False)
 
     @property
     def variance(self) -> float:
@@ -146,22 +165,52 @@ class SubfunctionSummary:
 
 
 def _summarize(
-    dist: ProductDistribution, free: list[int], labels: np.ndarray, weights: np.ndarray
+    dist: ProductDistribution,
+    free: list[int],
+    labels: np.ndarray,
+    weights: np.ndarray,
+    relevant: frozenset[int] | None = None,
 ) -> SubfunctionSummary:
-    """The influence reduction over one enumeration's labels and weights."""
+    """The influence reduction over one enumeration's labels and weights.
+
+    Only the free coordinates in ``relevant`` (all of them by default) are
+    reduced, and none when the labels are constant; the rest keep 0.0, the
+    sum of an empty gather.  Large enumerations also reduce on the draw
+    threads (see the module docstring).
+    """
     mu_plus = float(np.sum(weights[labels > 0]))
     infl = np.zeros(dist.n)
     flip = np.zeros(dist.n)
-    for t, i in enumerate(free):
-        lab = labels.reshape(-1, 2, 1 << t)
-        wgt = weights.reshape(-1, 2, 1 << t)
-        disagree = lab[:, 0, :] != lab[:, 1, :]
-        p = dist.biases[i]
-        # weight of the other coordinates = bit-0 slice with its (1-p) factor removed
-        d = float(np.sum(wgt[:, 0, :][disagree])) / (1.0 - p)
-        flip[i] = d
-        infl[i] = 2.0 * p * (1.0 - p) * d
-    return SubfunctionSummary(mu_plus, infl, flip, labels)
+    relevant_here: set[int] = set()
+    positions = []
+    if labels.min() != labels.max():
+        positions = [t for t, i in enumerate(free) if relevant is None or i in relevant]
+
+    def reduce(share: list[int]) -> None:
+        # numpy only: no oracle, nothing a tracer wraps
+        for t in share:
+            i = free[t]
+            lab = labels.reshape(-1, 2, 1 << t)
+            wgt = weights.reshape(-1, 2, 1 << t)
+            disagree = lab[:, 0, :] != lab[:, 1, :]
+            gathered = wgt[:, 0, :][disagree]
+            p = dist.biases[i]
+            # weight of the other coordinates = bit-0 slice with its (1-p) factor removed
+            d = float(np.sum(gathered)) / (1.0 - p)
+            flip[i] = d
+            infl[i] = 2.0 * p * (1.0 - p) * d
+            if gathered.size:  # not d != 0.0: products of weights can underflow
+                relevant_here.add(i)
+
+    threads = core._DRAW_THREADS
+    shares = [positions]
+    if len(labels) >= 2 * core._MIN_BLOCK and threads >= 2:
+        shares = [positions[k::threads] for k in range(threads)]
+    jobs = [core._draw_pool().submit(reduce, share) for share in shares[1:] if share]
+    reduce(shares[0])
+    for job in jobs:
+        job.result()
+    return SubfunctionSummary(mu_plus, infl, flip, labels, frozenset(relevant_here))
 
 
 def subfunction_summary(
@@ -213,6 +262,7 @@ class LeafInfo:
     score: float  # reach * largest influence
     coord: int  # coordinate of the largest influence; -1 with none free
     labels: np.ndarray = field(repr=False, compare=False)
+    relevant: frozenset[int] = field(repr=False, compare=False)
 
     @property
     def error_mass(self) -> float:
@@ -236,6 +286,7 @@ def _leaf(
         score=score,
         coord=best,
         labels=summary.labels,
+        relevant=summary.relevant,
     )
 
 
@@ -259,7 +310,8 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     The labels come from the parent's: with the split coordinate at
     position t of the free coordinates, child b takes the index slice whose
     bit t is b, which is already in the child's enumeration order.  No
-    point is labeled again.
+    point is labeled again, and only the parent's relevant coordinates are
+    reduced.
     """
     fixed = info.restriction.coordinates()
     free = [i for i in range(dist.n) if i not in fixed]
@@ -269,7 +321,7 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     halves = info.labels.reshape(-1, 2, 1 << t)
     return tuple(
         _leaf(dist, info.restriction.extend(info.coord, b), child_free,
-              _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
+              _summarize(dist, child_free, halves[:, b, :].flatten(), weights, info.relevant))
         for b in (0, 1)
     )
 

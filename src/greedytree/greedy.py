@@ -18,7 +18,9 @@ The target is labeled once per build: the root's enumeration labels all
 labels (:func:`greedytree.exact.split_children`), so a ``CountingOracle``
 target sees exactly 2^n queries.  The live leaves hold only their labels
 (2^n in all), not codes or weights; the final tree takes its labels from
-the positive masses already held.
+the positive masses already held.  A child reduces only the coordinates
+its parent found relevant, and large leaves reduce on the draw threads
+too (see :mod:`greedytree.exact`).
 """
 
 from __future__ import annotations

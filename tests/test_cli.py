@@ -228,6 +228,12 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "--count" in captured.err and captured.out == ""
 
+    def test_malformed_count_is_named(self, capsys):
+        assert main(["props", "--count", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: greedytree props")
+        assert "greedytree props: error:" in err and "--count" in err
+
     def test_zero_count_runs_nothing(self, capsys):
         assert main(["props", "--count", "0"]) == 0
         assert "0 checks on 0 instances" in capsys.readouterr().out

@@ -10,7 +10,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from greedytree import core
 from greedytree.core import (
     BareLeaf,
     BareTree,
@@ -25,6 +27,7 @@ from greedytree.core import (
     leaf_paths,
     route,
 )
+from greedytree.greedy import build_topdown_exact
 from greedytree.exact import (
     EnumerationLimitError,
     LeafInfo,
@@ -326,6 +329,99 @@ class TestSplitChildren:
             for b, child in enumerate(split_children(dataclasses.replace(info, coord=coord), dist)):
                 assert_same_leaf(child, leaf_info(oracle, dist, info.restriction.extend(coord, b)))
                 live.append(child)
+
+
+def brute_relevant(table: np.ndarray, n: int, restriction: Restriction) -> frozenset[int]:
+    """Free coordinates i with some x in the region where f(x) != f(x ^ e_i)."""
+    codes = np.arange(1 << n, dtype=np.uint64)
+    inside = np.ones(len(codes), dtype=bool)
+    for i, b in restriction.items():
+        inside &= ((codes >> np.uint64(i)) & np.uint64(1)) == b
+    x = codes[inside]
+    return frozenset(
+        i for i in range(n)
+        if i not in restriction and np.any(table[x] != table[x ^ np.uint64(1 << i)])
+    )
+
+
+class TestRelevance:
+    """``relevant`` is the set of coordinates with a disagreeing pair, not a
+    float test, and a split only ever shrinks it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), kind=st.sampled_from(["tree", "table"]))
+    def test_equals_brute_force_and_shrinks_on_splits(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "table":
+            oracle = generate_truth_table(n, rng)
+        else:
+            oracle = TreeOracle(generate_random_tree(n, min(n, 5), rng), n)
+        table = oracle.label_codes(np.arange(1 << n, dtype=np.uint64))
+        dist = ProductDistribution(rng.uniform(0.05, 0.95, n))
+        live = [leaf_info(oracle, dist, Restriction())]
+        while live:
+            info = live.pop()
+            assert info.relevant == brute_relevant(table, n, info.restriction)
+            free = [i for i in range(n) if i not in info.restriction]
+            if not free:
+                continue
+            coord = int(rng.choice(free))
+            for child in split_children(dataclasses.replace(info, coord=coord), dist):
+                assert child.relevant <= info.relevant
+                live.append(child)
+
+    def test_underflowed_influence_stays_relevant(self):
+        # f = +1 only at x = 111: across coordinate 2 the pairs disagree where
+        # x0 = x1 = 1, whose weight 1e-200 * 1e-200 underflows to 0.0
+        dist = ProductDistribution([1e-200, 1e-200, 0.5])
+        oracle = TruthTableOracle(np.array([-1] * 7 + [1], dtype=np.int8))
+        root = leaf_info(oracle, dist, Restriction())
+        assert root.relevant == {0, 1, 2}
+        assert subfunction_summary(SubfunctionView(oracle), dist).flip_influences[2] == 0.0
+        _, hi = split_children(dataclasses.replace(root, coord=0), dist)
+        fresh = leaf_info(oracle, dist, Restriction({0: 1}))
+        assert_same_leaf(hi, fresh)
+        assert hi.relevant == {1, 2}
+        assert subfunction_summary(SubfunctionView(oracle, Restriction({0: 1})), dist
+                                   ).flip_influences[2] == 1e-200
+
+
+def _run_exact(oracle, dist, threads, monkeypatch):
+    """A capped build plus the leaves of the first three levels (the root and
+    its children hold at least two draw blocks), with ``threads`` reduction
+    threads and a fresh pool."""
+    monkeypatch.setattr(core, "_DRAW_THREADS", threads)
+    monkeypatch.setattr(core, "_DRAW_POOL", [])
+    build = repr(build_topdown_exact(oracle, dist, epsilon=0.01, max_splits=24))
+    level = [leaf_info(oracle, dist, Restriction())]
+    leaves = list(level)
+    for _ in range(2):
+        level = [c for info in level for c in split_children(info, dist)]
+        leaves += level
+    pool = list(core._DRAW_POOL)
+    for p in pool:
+        p.shutdown()
+    return build, leaves, bool(pool)
+
+
+class TestThreadedReduction:
+    """Splitting the influence reduction over threads changes no bit."""
+
+    @pytest.mark.parametrize("bias", ["uniform", "skewed", "mixed"])
+    @pytest.mark.parametrize("kind", ["tree", "table", "counting"])
+    def test_pool_path_is_bit_identical_to_inline(self, monkeypatch, kind, bias):
+        n = 17
+        assert 1 << n >= 2 * core._MIN_BLOCK  # the root takes the pool path
+        rng = np.random.default_rng([n, len(kind), len(bias)])
+        oracle = split_oracle(kind, n, rng)
+        dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
+        build1, leaves1, started1 = _run_exact(oracle, dist, 1, monkeypatch)
+        build2, leaves2, started2 = _run_exact(oracle, dist, 2, monkeypatch)
+        assert not started1 and started2
+        assert build1 == build2
+        assert len(leaves1) == len(leaves2) >= 3
+        for a, b in zip(leaves1, leaves2):
+            assert_same_leaf(a, b)
 
 
 class TestCost:
