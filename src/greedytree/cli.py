@@ -12,7 +12,8 @@ Subcommands:
 * ``verify`` -- exact disagreement probability of a hypothesis tree
   against a target tree under a distribution file.
 
-Exit codes: 0 success, 1 usage error, 2 property violation.
+Exit codes: 0 success, 1 usage error (including an input too large to
+evaluate exactly), 2 property violation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     serialize_tree,
     size,
 )
-from .exact import DEFAULT_MAX_FREE_COORDS, tree_error
+from .exact import DEFAULT_MAX_FREE_COORDS, EnumerationLimitError, tree_error
 from .experiments import (
     ExperimentConfig,
     run_experiment,
@@ -207,7 +208,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_build(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (TreeFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (
+        TreeFormatError, ValueError, OSError, json.JSONDecodeError, EnumerationLimitError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     raise AssertionError("unreachable")

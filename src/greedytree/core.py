@@ -446,8 +446,10 @@ def route_groups(tree: Tree, codes: np.ndarray) -> Iterator[tuple[Node, np.ndarr
     while stack:
         node, idx = stack.pop()
         if isinstance(node, Internal):
-            hi = ((codes[idx] >> np.uint64(node.var)) & np.uint64(1)).astype(bool)
-            stack += [(node.hi, idx[hi]), (node.lo, idx[~hi])]
+            # Integer gathers: on numpy 2.4 boolean-mask gathers took about
+            # 4x as long as flatnonzero followed by the integer gathers.
+            hi = (codes[idx] & np.uint64(1 << node.var)) != 0
+            stack += [(node.hi, idx[np.flatnonzero(hi)]), (node.lo, idx[np.flatnonzero(~hi)])]
         elif len(idx):
             yield node, idx
 

@@ -29,11 +29,11 @@ A pair contributes to a leaf's score estimate only when both endpoints
 reach the leaf and the labels disagree.  If the redrawn coordinate is not
 queried on the leaf's path, both endpoints reach it together; if it is
 queried, the endpoints either coincide (labels equal) or separate, so the
-contribution is zero either way and such pairs are skipped.  The estimate
-divides by the full pool size, which makes it an unbiased estimator of the
-true score -- a property the test suite checks by Monte Carlo against the
-exact engine.  :func:`pair_hits` is that estimator; the builder and the
-unbiasedness check in :mod:`greedytree.verify` both run it.
+contribution is zero either way.  The estimate divides by the full pool
+size, which makes it an unbiased estimator of the true score -- a property
+the test suite checks by Monte Carlo against the exact engine.
+:func:`draw_pair_batch` is that estimator; the builder and the unbiasedness
+check in :mod:`greedytree.verify` both run it.
 
 Sharing x is sound.  For each leaf and coordinate the estimate is still the
 mean of ``pair_floor`` iid indicators, each of the law a pair drawn for that
@@ -42,13 +42,15 @@ estimates of different coordinates now depend on each other, but the union
 bound over coordinates, leaves and steps needs no independence between the
 events it adds up.
 
-Only the pairs whose redrawn bit differs from x_i are labeled.  The others
-have x' = x, so their labels agree and they never count at any leaf; this
-is the 2 p_i (1 - p_i) factor in the closed form of the influence in
-:mod:`greedytree.exact`.  They are still drawn and still counted in the pool
-total, so every estimate is the same as if all pairs were labeled.  Each x
-with at least one flipped coordinate is labeled once, and each flipped
-x ^ (1 << i) once.
+Only the pairs that can count are labeled.  A pair whose redrawn bit equals
+x_i has x' = x, so its labels agree; this is the 2 p_i (1 - p_i) factor in
+the closed form of the influence in :mod:`greedytree.exact`.  A pair whose
+flipped coordinate is queried on the path of the leaf x reaches has its
+endpoints at different leaves, so it counts at no leaf; nor can it later,
+because every leaf below that one queries the coordinate too.  Skipped pairs
+are still drawn and still counted in the pool total, so every estimate is
+the one labeling all pairs gives.  Each x with a pair left is labeled once,
+and each flipped x ^ (1 << i) of such a pair once.
 
 So the builder keeps, per leaf and coordinate off its path, only the x
 codes of the pairs whose labels disagree, and a leaf's hit count is the
@@ -66,7 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -91,7 +93,6 @@ __all__ = [
     "draw_pair_batch",
     "error_schedule",
     "labeling_schedule",
-    "pair_hits",
     "pair_schedule",
 ]
 
@@ -151,24 +152,24 @@ def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """The labeled pairs of one shared draw of ``drawn`` points x.
+    """The labeled pairs of one shared draw of ``drawn`` points x, and their hits.
 
     Each x is paired, for each coordinate i the batch was drawn for, with
-    x' equal to x except that bit i is redrawn.  Only the pairs whose
-    redrawn bit came out different from x's are labeled, so each x' is x
-    with bit i flipped.  ``x_labels`` and ``alt_labels`` hold the labels of
-    x and x', one entry per labeled pair, coordinate by coordinate in the
-    order given, and ``len`` counts the labeled pairs.  ``hit_codes``
-    and ``hit_coords`` hold the x and the coordinate of each pair whose
-    labels disagree.  The oracle labeled ``x_queries`` points x, each x
-    that flipped for some coordinate once, and one x' per labeled pair.
-    Estimates divide by ``drawn``.
+    x' equal to x except that bit i is redrawn.  A pair is labeled only when
+    its redrawn bit came out different from x's, so that x' is x with bit i
+    flipped, and i is not queried on the path of the leaf x reaches.
+    ``x_labels`` and ``alt_labels`` hold the labels of x and x', one entry
+    per labeled pair, coordinate by coordinate in the order given, and
+    ``len`` counts the labeled pairs.  ``hits[leaf, i]`` holds, in draw
+    order, the x at ``leaf`` whose pair for i disagrees; a key with no hit
+    is left out.  The oracle labeled ``x_queries`` points x, each x with a
+    labeled pair once, and one x' per labeled pair.  Estimates divide by
+    ``drawn``.
     """
 
     x_labels: np.ndarray
     alt_labels: np.ndarray
-    hit_codes: np.ndarray
-    hit_coords: np.ndarray
+    hits: dict[tuple[int, int], np.ndarray]
     x_queries: int
     drawn: int
 
@@ -186,9 +187,13 @@ def draw_pair_batch(
     coords: Iterable[int],
     rng: np.random.Generator,
     count: int,
+    bare: BareTree,
+    paths: Mapping[int, Iterable[int]],
 ) -> PairBatch:
     """Draw ``count`` points x, pair each with a redraw of every coordinate
-    in ``coords``, and label the pairs that flipped.
+    in ``coords``, label the pairs that can count, and score them at the
+    leaves of ``bare``; ``paths[leaf_id]`` holds the coordinates the leaf's
+    path queries.
 
     The redrawn bits are one more product draw, y of the marginals of
     ``coords`` in their order: the bit of y for coordinate i equals x_i
@@ -196,54 +201,51 @@ def draw_pair_batch(
     cannot disagree.  So the stream is ``count`` codes of ``dist``, then
     ``count`` uniforms per coordinate of ``coords``; for one coordinate
     this is the stream of drawing that coordinate's pairs alone.
+
+    Each x gets one word of the coordinates whose bit flipped.  One walk
+    routes the x and clears from each word the coordinates queried on the
+    path of the leaf its x reaches; the pairs left are labeled, their
+    disagreements kept as one more word per x, and each leaf reads its
+    hits from its group of the same walk.
     """
     coords = tuple(coords)
     if not coords or len(set(coords)) < len(coords) or not all(0 <= i < dist.n for i in coords):
         raise ValueError(f"need distinct coordinates in range for n={dist.n}, got {coords}")
     x = dist.draw_codes(rng, count)
     y = ProductDistribution([dist.biases[i] for i in coords]).draw_codes(rng, count)
-    flips = [_bit(y, k) != _bit(x, i) for k, i in enumerate(coords)]
+    if coords == tuple(range(dist.n)):
+        flips = x ^ y
+    else:
+        flips = np.zeros(count, dtype=np.uint64)
+        for k, i in enumerate(coords):
+            flips |= (((y >> np.uint64(k)) ^ (x >> np.uint64(i))) & np.uint64(1)) << np.uint64(i)
+    groups = list(route_groups(bare, x))
+    for leaf, idx in groups:
+        path = sum(1 << i for i in paths[leaf.id])
+        if path:
+            flips[idx] &= ~np.uint64(path)
     # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
-    # about 2.5x as long as flatnonzero followed by the integer gather.
-    some = np.flatnonzero(np.logical_or.reduce(flips))
+    # about 2.5x as long as flatnonzero followed by the integer gather, and
+    # flatnonzero of a uint64 word about 6x as long as of its test != 0.
+    some = np.flatnonzero(flips != 0)
     labels = np.zeros(count, dtype=np.int8)
     labels[some] = oracle.label_codes(x[some])
-    x_labels, alt_labels, hit_codes, hit_coords = [], [], [], []
-    for i, flip in zip(coords, flips):
-        idx = np.flatnonzero(flip)
-        flipped = x[idx]
+    disagree = np.zeros(count, dtype=np.uint64)
+    x_labels, alt_labels = [], []
+    for i in coords:
+        bit = np.uint64(1 << i)
+        idx = np.flatnonzero((flips & bit) != 0)
         x_labels.append(labels[idx])
-        alt_labels.append(oracle.label_codes(flipped ^ np.uint64(1 << i)))
-        hits = flipped[np.flatnonzero(x_labels[-1] != alt_labels[-1])]
-        hit_codes.append(hits)
-        hit_coords.append(np.full(len(hits), i, dtype=np.uint8))
-    return PairBatch(
-        *(np.concatenate(parts) for parts in (x_labels, alt_labels, hit_codes, hit_coords)),
-        len(some),
-        count,
-    )
-
-
-def pair_hits(
-    batch: PairBatch, bare: BareTree, paths: Mapping[int, Container[int]]
-) -> dict[tuple[int, int], np.ndarray]:
-    """The x codes of the batch's disagreeing pairs, keyed by (leaf, coordinate).
-
-    A pair counts for a leaf when both endpoints reach it and their labels
-    disagree.  Off the leaf's path (``paths[leaf_id]`` holds the coordinates
-    it queries) the flipped coordinate is not queried, so x' reaches the
-    leaf iff x does: one walk routes the x alone, and each leaf splits its
-    hits by coordinate.  On the path x and x' part at the query, so a leaf
-    gets no hits for the coordinates it queries.  Its score estimate for a
-    coordinate is its hit count over the number of pairs drawn, not labeled.
-    """
+        alt_labels.append(oracle.label_codes(x[idx] ^ bit))
+        disagree[idx[np.flatnonzero(x_labels[-1] != alt_labels[-1])]] |= bit
     hits = {}
-    for leaf, idx in route_groups(bare, batch.hit_codes):
-        coords = batch.hit_coords[idx]
-        for i in np.flatnonzero(np.bincount(coords)).tolist():
-            if i not in paths[leaf.id]:
-                hits[leaf.id, i] = batch.hit_codes[idx[coords == i]]
-    return hits
+    for leaf, idx in groups:
+        idx = idx[np.flatnonzero(disagree[idx] != 0)]
+        words = disagree[idx]
+        present = int(np.bitwise_or.reduce(words))
+        for i in (i for i in range(present.bit_length()) if present >> i & 1):
+            hits[leaf.id, i] = x[idx[np.flatnonzero((words & np.uint64(1 << i)) != 0)]]
+    return PairBatch(np.concatenate(x_labels), np.concatenate(alt_labels), hits, len(some), count)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ class _LeafState:
         for key, codes in self.pools.items():
             if key != (_PAIR_STREAM, coord):
                 side = _bit(codes, coord)
-                lo[key], hi[key] = codes[~side], codes[side]
+                lo[key], hi[key] = codes[np.flatnonzero(~side)], codes[np.flatnonzero(side)]
         return _LeafState(path, lo), _LeafState(path, hi)
 
 
@@ -411,13 +413,15 @@ def build_topdown_practical(
             random_draws += count
             for leaf, idx in route_groups(bare, codes):
                 side = positive[idx]
-                states[leaf.id].deposit((stream, 1), codes[idx[side]])
-                states[leaf.id].deposit((stream, -1), codes[idx[~side]])
+                states[leaf.id].deposit((stream, 1), codes[idx[np.flatnonzero(side)]])
+                states[leaf.id].deposit((stream, -1), codes[idx[np.flatnonzero(~side)]])
         paths = {leaf_id: st.path for leaf_id, st in states.items()}
-        batch = draw_pair_batch(oracle, dist, range(n), _stream(seed, _PAIR_STREAM, j), d_pairs)
+        batch = draw_pair_batch(
+            oracle, dist, range(n), _stream(seed, _PAIR_STREAM, j), d_pairs, bare, paths
+        )
         label_queries += batch.label_queries
         random_draws += 2 * d_pairs  # the points x and their redrawn bits y
-        for (leaf_id, i), hits in pair_hits(batch, bare, paths).items():
+        for (leaf_id, i), hits in batch.hits.items():
             states[leaf_id].deposit((_PAIR_STREAM, i), hits)
         usage.append(UsageRow(j, len(states), *floors, label_queries, random_draws))
 

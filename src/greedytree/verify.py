@@ -133,7 +133,7 @@ from .exact import (
     tree_error,
 )
 from .greedy import GreedyResult, build_topdown_exact, size_bound_log
-from .sampling import draw_pair_batch, pair_hits
+from .sampling import draw_pair_batch
 from .targets import (
     generate_balanced_target,
     generate_path_target,
@@ -526,7 +526,7 @@ def _unbiasedness_probes(
     """(probes within 3 standard errors, total probes, worst z-score).
 
     Each resample is one batch of ``pair_count`` pairs per coordinate,
-    scored by :func:`greedytree.sampling.pair_hits`, the estimator the
+    scored by :func:`greedytree.sampling.draw_pair_batch`, the estimator the
     practical builder runs.
     """
     dist, oracle = instance.dist, instance.oracle
@@ -536,7 +536,7 @@ def _unbiasedness_probes(
         assert isinstance(leaf, BareLeaf)
         summary = subfunction_summary(SubfunctionView(oracle, restriction), dist)
         leaves.append((leaf.id, dist.reach_probability(restriction), summary.influences))
-        paths[leaf.id] = restriction
+        paths[leaf.id] = restriction.coordinates()
     id_index = {lid: k for k, (lid, _, _) in enumerate(leaves)}
 
     ok = 0
@@ -546,8 +546,8 @@ def _unbiasedness_probes(
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7001, i]))
         counts = np.zeros((resamples, len(leaves)))
         for r in range(resamples):
-            batch = draw_pair_batch(oracle, dist, (i,), rng, pair_count)
-            for (lid, _), hits in pair_hits(batch, bare, paths).items():
+            batch = draw_pair_batch(oracle, dist, (i,), rng, pair_count, bare, paths)
+            for (lid, _), hits in batch.hits.items():
                 counts[r, id_index[lid]] = len(hits)
         estimates = counts / pair_count
         for lid, reach, infl in leaves:

@@ -99,6 +99,40 @@ class TestVerify:
         assert "exact_error=0.5" in capsys.readouterr().out
 
 
+class TestEnumerationLimit:
+    """Past the exact engine's enumeration cap both exact commands refuse
+    with one error line, not a traceback."""
+
+    @pytest.fixture
+    def wide(self, workdir: Path) -> Path:
+        (workdir / "wide.json").write_text(serialize_distribution(ProductDistribution([0.5] * 26)))
+        return workdir
+
+    def _assert_refused(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert "free coordinates" in err
+
+    def test_verify_refuses(self, wide, capsys):
+        code = main([
+            "verify", "--tree", str(wide / "target.json"),
+            "--target", str(wide / "target.json"), "--dist", str(wide / "wide.json"),
+        ])
+        assert code == 1
+        self._assert_refused(capsys)
+
+    def test_exact_build_refuses(self, wide, capsys):
+        out = wide / "result.json"
+        code = main([
+            "build", "--target", str(wide / "target.json"), "--dist", str(wide / "wide.json"),
+            "--epsilon", "0.1", "--mode", "exact", "--out", str(out),
+        ])
+        assert code == 1
+        self._assert_refused(capsys)
+        assert not out.exists()
+
+
 class TestProps:
     def test_small_suite_passes(self, workdir, capsys):
         report = workdir / "props.csv"

@@ -4,6 +4,12 @@ A refactor or optimization that keeps these digests keeps the experiment
 CSV, the builders' step traces, the returned trees and the practical
 builder's cumulative query counts byte for byte.  A change that means to
 alter any of them must say so and re-pin the digest.
+
+Label query counts are pinned apart from everything else: the experiment
+CSV's ``label_queries`` column and the practical builds' usage CSVs have
+digests of their own.  A change that labels fewer points re-pins only
+those, and the other digests show that trees, traces and every other
+column held still.
 """
 
 import hashlib
@@ -28,22 +34,44 @@ GRID_CONFIG = {
     "seed": 7,
     "max_splits": 64,
 }
-GRID_CSV_SHA = "ac19bd9ceb17308af05dbffd3e42a454f967c4f023b19e081887f49fe74a314d"
+GRID_CSV_SHA = "a2b33648d551a3f5cd0fede0a22e7abb8c72e80797df11102fb99febfb85a8eb"
+GRID_LABEL_QUERIES_SHA = "e586f08d42e97fd02df55a8763f80f4c8b992d63ed5c8988f709e79ef81dadbf"
 
 BUILD_BIASES = [0.5, 0.3, 0.1, 0.7, 0.5, 0.2, 0.6, 0.4]
+# tree.json then trace.csv; a practical build's usage.csv is in USAGE_SHA
 BUILD_SHA = {
-    ("practical", 4): "44f287c245b867fa7bdec3127695a897867d947e83ab2f08f8ad7ad5793522f5",
-    ("practical", 5): "d7ddec6a29f398c8bc0dc35f162ed37abe592e52f1672e6deb5503ec36b4a9ac",
+    ("practical", 4): "4c6976f8285803713cc160cd7ca4831ed07e156759d32b45c188943481651464",
+    ("practical", 5): "a92c756eafbbbc989638e36ad0f9b83e5de84869ea9c771e7cea41d3318e2a49",
     ("exact", 4): "88872a3cdbdaa014b1627b08a057207d3772a367a4c541157c727c43350c558c",
     ("exact", 5): "24c2fa3494ba572d824a375b65bb904f9f323ac2a04c4bb318dd0e756057ac0f",
+}
+USAGE_SHA = {
+    4: "3852c14f4f580edef644d458724bbab583f2f60e81f902e9cd130cd3435872f1",
+    5: "6f6f9cf5b00cdba7f75f3846083e5fcc865c80c9aa9b25512217e67f65dd4d1a",
 }
 
 
 def _sha(*paths: Path) -> str:
+    return _sha_bytes(*(path.read_bytes() for path in paths))
+
+
+def _sha_bytes(*parts: bytes) -> str:
     h = hashlib.sha256()
-    for path in paths:
-        h.update(path.read_bytes())
+    for part in parts:
+        h.update(part)
     return h.hexdigest()
+
+
+def _split_column(path: Path, name: str) -> tuple[bytes, bytes]:
+    """The CSV without column ``name``, and that column alone, a cell a line.
+    A '#' comment line stays with the rest."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    comment = [line for line in lines[:1] if line.startswith("#")]
+    rows = [line.split(",") for line in lines[len(comment):]]
+    k = rows[0].index(name)
+    assert all(len(row) == len(rows[0]) for row in rows)
+    rest = comment + [",".join(row[:k] + row[k + 1:]) for row in rows]
+    return ("\n".join(rest) + "\n").encode(), ("\n".join(row[k] for row in rows) + "\n").encode()
 
 
 def test_run_csv_digest(tmp_path):
@@ -51,7 +79,9 @@ def test_run_csv_digest(tmp_path):
     config.write_text(json.dumps(GRID_CONFIG))
     out = tmp_path / "results.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    assert _sha(out) == GRID_CSV_SHA
+    rest, label_queries = _split_column(out, "label_queries")
+    assert _sha_bytes(rest) == GRID_CSV_SHA
+    assert _sha_bytes(label_queries) == GRID_LABEL_QUERIES_SHA
 
 
 @pytest.mark.parametrize("mode,seed", sorted(BUILD_SHA))
@@ -60,16 +90,18 @@ def test_build_trace_digest(tmp_path, mode, seed):
     (tmp_path / "target.json").write_text(serialize_tree(target))
     (tmp_path / "dist.json").write_text(serialize_distribution(ProductDistribution(BUILD_BIASES)))
     outputs = [tmp_path / "tree.json", tmp_path / "trace.csv"]
+    usage = tmp_path / "usage.csv"
     argv = [
         "build", "--target", str(tmp_path / "target.json"), "--dist", str(tmp_path / "dist.json"),
         "--epsilon", "0.02" if mode == "exact" else "0.1", "--mode", mode, "--seed", str(seed),
         "--out", str(outputs[0]), "--trace-out", str(outputs[1]),
     ]
     if mode == "practical":
-        outputs.append(tmp_path / "usage.csv")
-        argv += ["--usage-out", str(outputs[2])]
+        argv += ["--usage-out", str(usage)]
     assert main(argv) == 0
     assert _sha(*outputs) == BUILD_SHA[(mode, seed)]
+    if mode == "practical":
+        assert _sha(usage) == USAGE_SHA[seed]
 
 
 PROPS_CSV_SHA = "0e2c02b7154003b86488f10f63bb511badce0a0676fe976fc83a329da154ed30"

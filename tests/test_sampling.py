@@ -27,12 +27,10 @@ from greedytree.core import (
 )
 from greedytree.exact import tree_error
 from greedytree.sampling import (
-    PairBatch,
     build_topdown_practical,
     draw_pair_batch,
     error_schedule,
     labeling_schedule,
-    pair_hits,
     pair_schedule,
 )
 from greedytree.targets import (
@@ -136,6 +134,22 @@ def _flipped(x, redrawn):
     }
 
 
+def _off_path_flipped(x, redrawn, bare, paths):
+    """Per coordinate, the indices of the points whose redrawn bit differs
+    and whose leaf in ``bare`` does not query the coordinate."""
+    leaf = route_codes(bare, x)
+    return {
+        i: idx[[i not in paths[int(v)] for v in leaf[idx]]].astype(np.int64)
+        for i, idx in _flipped(x, redrawn).items()
+    }
+
+
+def _expected_queries(flipped):
+    """Each x with a labeled pair once, plus one per labeled pair."""
+    some = len(np.unique(np.concatenate([np.empty(0, np.int64), *flipped.values()])))
+    return some, sum(map(len, flipped.values()))
+
+
 def _hits_labeling_every_pair(oracle, dist, coords, rng, count, bare):
     """Reference estimator: label both endpoints of every pair of the shared
     draw, route both, and count a pair at (leaf, coordinate) when both
@@ -161,8 +175,8 @@ def _per_coordinate_pair_draw(oracle, dist, i, rng, count):
     return x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i))
 
 
-def _estimate(batch, leaf_id, coord, bare, paths) -> float:
-    return len(pair_hits(batch, bare, paths).get((leaf_id, coord), ())) / batch.drawn
+def _estimate(batch, leaf_id, coord) -> float:
+    return len(batch.hits.get((leaf_id, coord), ())) / batch.drawn
 
 
 def _balanced_case(n, p, kind):
@@ -190,7 +204,7 @@ class TestDrawPair:
         for coords in [(0,), (1,), (0, 1), (1, 0)]:
             rng = np.random.default_rng(list(coords))
             ref = copy.deepcopy(rng)
-            batch = draw_pair_batch(oracle, UNIFORM2, coords, rng, 500)
+            batch = draw_pair_batch(oracle, UNIFORM2, coords, rng, 500, ROOT, ROOT_PATHS)
             x, redrawn = _replay(UNIFORM2, coords, ref, 500)
             flipped = [x[idx] for idx in _flipped(x, redrawn).values()]
             assert len(batch) > 0 and batch.drawn == 500
@@ -210,12 +224,13 @@ class TestDrawPair:
         for i in sorted({0, n // 2, n - 1}):
             ours, ref = np.random.default_rng([count, i]), np.random.default_rng([count, i])
             counting = CountingOracle(oracle)
-            batch = draw_pair_batch(counting, dist, (i,), ours, count)
+            batch = draw_pair_batch(counting, dist, (i,), ours, count, ROOT, ROOT_PATHS)
             codes, x_labels, alt_labels = _per_coordinate_pair_draw(oracle, dist, i, ref, count)
             assert np.array_equal(batch.x_labels, x_labels)
             assert np.array_equal(batch.alt_labels, alt_labels)
-            assert np.array_equal(batch.hit_codes, codes[x_labels != alt_labels])
-            assert np.array_equal(batch.hit_coords, np.full(len(batch.hit_codes), i))
+            hits = codes[x_labels != alt_labels]
+            assert list(batch.hits) == ([(0, i)] if len(hits) else [])
+            assert np.array_equal(batch.hits.get((0, i), hits), hits)
             assert ours.bit_generator.state == ref.bit_generator.state
             assert counting.queries == batch.label_queries == 2 * len(batch) == 2 * len(codes)
 
@@ -228,32 +243,60 @@ class TestDrawPair:
         counting = CountingOracle(oracle)
         rng = np.random.default_rng([n, 3])
         ref = copy.deepcopy(rng)
-        batch = draw_pair_batch(counting, dist, range(n), rng, 3000)
+        batch = draw_pair_batch(counting, dist, range(n), rng, 3000, ROOT, ROOT_PATHS)
         flipped = _flipped(*_replay(dist, range(n), ref, 3000))
         some = len(np.unique(np.concatenate(list(flipped.values()))))
         assert counting.queries == batch.label_queries == some + sum(map(len, flipped.values()))
         assert len(batch) == len(batch.alt_labels) == sum(map(len, flipped.values()))
         assert batch.x_queries == some
 
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    @pytest.mark.parametrize("n,kind", CASES)
+    def test_label_queries_skip_on_path_flips(self, n, kind, p):
+        # below the root, a pair is labeled only when its flipped coordinate
+        # is off the path of the leaf x reaches: each such x once, and each
+        # such flipped x ^ (1 << i) once, with the oracle's labels in order
+        target, oracle, dist, rng = _balanced_case(n, p, kind)
+        bare, paths = _random_bare(n, rng, min(n - 1, 5))
+        for coords in (range(n), sorted(tree_variables(target) | {n - 1}, reverse=True)):
+            counting = CountingOracle(oracle)
+            ours = np.random.default_rng([n, 11])
+            x, redrawn = _replay(dist, coords, copy.deepcopy(ours), 3000)
+            flipped = _off_path_flipped(x, redrawn, bare, paths)
+            batch = draw_pair_batch(counting, dist, coords, ours, 3000, bare, paths)
+            some, pairs = _expected_queries(flipped)
+            assert counting.queries == batch.label_queries == some + pairs
+            assert (batch.x_queries, len(batch), batch.drawn) == (some, pairs, 3000)
+            codes = [x[flipped[i]] for i in coords]
+            assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(codes)))
+            alt = [oracle.label_codes(c ^ np.uint64(1 << i)) for c, i in zip(codes, coords)]
+            assert np.array_equal(batch.alt_labels, np.concatenate(alt))
+            skipped = sum(map(len, _flipped(x, redrawn).values())) - pairs
+            assert skipped > 0 or len(bare.leaf_ids()) == 1
+
     @pytest.mark.parametrize("coords", [(), (-1,), (2,), (0, 2), (0, 0), (1, 0, 1)])
     def test_bad_coordinates_refused_before_any_draw(self, coords):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="coordinates"):
-            draw_pair_batch(TreeOracle(DICTATOR, 2), UNIFORM2, coords, rng, 100)
+            draw_pair_batch(TreeOracle(DICTATOR, 2), UNIFORM2, coords, rng, 100, ROOT, ROOT_PATHS)
         assert rng.bit_generator.state == state
 
     def test_disagreement_rate_biased(self):
         # the redrawn bit differs from the original with probability 2 p (1-p)
         dist = ProductDistribution([0.3, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, dist, (0,), np.random.default_rng(1), 100_000)
+        batch = draw_pair_batch(
+            oracle, dist, (0,), np.random.default_rng(1), 100_000, ROOT, ROOT_PATHS
+        )
         assert abs(len(batch) / batch.drawn - 0.42) < 0.01
 
     def test_disagreement_rate_uniform(self):
         dist = ProductDistribution([0.5, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, dist, (0,), np.random.default_rng(2), 100_000)
+        batch = draw_pair_batch(
+            oracle, dist, (0,), np.random.default_rng(2), 100_000, ROOT, ROOT_PATHS
+        )
         assert abs(len(batch) / batch.drawn - 0.5) < 0.01
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
@@ -268,7 +311,7 @@ class TestDrawPair:
         total_hits = 0
         for coords in (range(n), some):
             ours, ref = np.random.default_rng([7, n]), np.random.default_rng([7, n])
-            hits = pair_hits(draw_pair_batch(oracle, dist, coords, ours, 3000), bare, paths)
+            hits = draw_pair_batch(oracle, dist, coords, ours, 3000, bare, paths).hits
             expected = _hits_labeling_every_pair(oracle, dist, coords, ref, 3000, bare)
             assert sorted(hits) == sorted(expected)
             for key, codes in expected.items():
@@ -280,19 +323,23 @@ class TestDrawPair:
 
 class TestScoreEstimate:
     def test_all_labels_agree_gives_zero(self):
-        ones = np.ones(8, dtype=np.int8)
-        none = np.empty(0, dtype=np.uint64)
-        batch = PairBatch(ones, ones, none, none.astype(np.uint8), 8, 8)
-        assert pair_hits(batch, ROOT, ROOT_PATHS) == {}
-        assert _estimate(batch, 0, 0, ROOT, ROOT_PATHS) == 0.0
+        oracle = TreeOracle(DecisionTree(Leaf(1)), 2)
+        batch = draw_pair_batch(
+            oracle, UNIFORM2, (0, 1), np.random.default_rng(8), 8, ROOT, ROOT_PATHS
+        )
+        assert len(batch) > 0 and np.array_equal(batch.x_labels, batch.alt_labels)
+        assert batch.hits == {}
+        assert _estimate(batch, 0, 0) == 0.0
 
     def test_root_only_tree_counts_disagreements(self):
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, UNIFORM2, (0, 1), np.random.default_rng(3), 4000)
+        batch = draw_pair_batch(
+            oracle, UNIFORM2, (0, 1), np.random.default_rng(3), 4000, ROOT, ROOT_PATHS
+        )
         disagree = int(np.count_nonzero(batch.x_labels != batch.alt_labels))
         assert disagree > 0
-        assert _estimate(batch, 0, 0, ROOT, ROOT_PATHS) == pytest.approx(disagree / 4000)
-        assert _estimate(batch, 0, 1, ROOT, ROOT_PATHS) == 0.0
+        assert _estimate(batch, 0, 0) == pytest.approx(disagree / 4000)
+        assert _estimate(batch, 0, 1) == 0.0
 
     def test_unbiased_for_dictator_root(self):
         # mean over 200 fresh pools of 1000 pairs within 3 standard errors
@@ -300,19 +347,30 @@ class TestScoreEstimate:
         oracle = TreeOracle(DICTATOR, 2)
         for coords in [(0,), (1, 0)]:
             rng = np.random.default_rng(4)
-            batches = [draw_pair_batch(oracle, UNIFORM2, coords, rng, 1000) for _ in range(200)]
-            estimates = [_estimate(batch, 0, 0, ROOT, ROOT_PATHS) for batch in batches]
+            batches = [
+                draw_pair_batch(oracle, UNIFORM2, coords, rng, 1000, ROOT, ROOT_PATHS)
+                for _ in range(200)
+            ]
+            estimates = [_estimate(batch, 0, 0) for batch in batches]
             stderr = np.std(estimates, ddof=1) / math.sqrt(200)
             assert abs(np.mean(estimates) - 0.5) <= 3 * stderr
 
     def test_pair_crossing_a_split_never_fires(self):
         # pairs redrawn on the split coordinate reach opposite children and
-        # cannot contribute to either child's estimate
+        # cannot contribute to either child's estimate, so none is labeled;
+        # at the root the same stream labels disagreeing pairs
         bare = split_leaf(ROOT, 0, 0, 1, 2)
-        oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(oracle, UNIFORM2, (0,), np.random.default_rng(5), 5000)
-        assert np.any(batch.x_labels != batch.alt_labels)
-        assert pair_hits(batch, bare, {1: {0}, 2: {0}}) == {}
+        oracle = CountingOracle(TreeOracle(DICTATOR, 2))
+        at_root = draw_pair_batch(
+            oracle, UNIFORM2, (0,), np.random.default_rng(5), 5000, ROOT, ROOT_PATHS
+        )
+        assert np.any(at_root.x_labels != at_root.alt_labels) and at_root.hits
+        oracle.queries = 0
+        batch = draw_pair_batch(
+            oracle, UNIFORM2, (0,), np.random.default_rng(5), 5000, bare, {1: {0}, 2: {0}}
+        )
+        assert batch.hits == {}
+        assert len(batch) == batch.x_queries == oracle.queries == 0
 
     def test_off_path_coordinate_routes_with_x(self):
         # when the redrawn coordinate is not queried, x reaches the leaf
@@ -321,8 +379,7 @@ class TestScoreEstimate:
         oracle = TreeOracle(DICTATOR, 2)
         rng = np.random.default_rng(6)
         ref = copy.deepcopy(rng)
-        batch = draw_pair_batch(oracle, UNIFORM2, (0, 1), rng, 5000)
-        hits = pair_hits(batch, bare, {1: {1}, 2: {1}})
+        hits = draw_pair_batch(oracle, UNIFORM2, (0, 1), rng, 5000, bare, {1: {1}, 2: {1}}).hits
         assert sorted(hits) == [(1, 0), (2, 0)]
         x, redrawn = _replay(UNIFORM2, (0, 1), ref, 5000)
         flipped = x[_flipped(x, redrawn)[0]]
@@ -367,16 +424,16 @@ class TestPracticalBuilder:
     def test_label_queries_match_schedules_exactly(self, monkeypatch):
         # draws telescope to the step-J floors, counting each drawn point
         # once; label queries are the labeling and stopping pools, each x
-        # that flipped for some coordinate, and each flipped x ^ (1 << i)
+        # that flipped for some coordinate off its leaf's path, and each
+        # such flipped x ^ (1 << i)
         labeled, flips = [], []
 
-        def recording(oracle, dist, coords, rng, count):
+        def recording(oracle, dist, coords, rng, count, bare, paths):
             x, redrawn = _replay(dist, coords, copy.deepcopy(rng), count)
-            flipped = _flipped(x, redrawn)
-            some = len(np.unique(np.concatenate(list(flipped.values()))))
-            flips.append(sum(map(len, flipped.values())))
-            labeled.append(some + flips[-1])
-            return draw_pair_batch(oracle, dist, coords, rng, count)
+            some, pairs = _expected_queries(_off_path_flipped(x, redrawn, bare, paths))
+            flips.append(pairs)
+            labeled.append(some + pairs)
+            return draw_pair_batch(oracle, dist, coords, rng, count, bare, paths)
 
         monkeypatch.setattr(sampling, "draw_pair_batch", recording)
         for p in (0.5, 0.1):
