@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--max-splits", type=int, default=None)
     build.add_argument("--out", default=None, help="write the returned tree here")
     build.add_argument("--trace-out", default=None, help="write the per-step trace CSV here")
-    build.add_argument("--usage-out", default=None, help="write the sample-usage CSV here")
+    build.add_argument(
+        "--usage-out", default=None, help="write the sample-usage CSV here (practical mode only)"
+    )
 
     verify = sub.add_parser("verify", help="exact error of a hypothesis tree")
     verify.add_argument("--tree", required=True, help="hypothesis tree JSON file")
@@ -152,6 +154,8 @@ def _run_props(seed: int, count: int, out: str | None, witness_dir: str | None) 
 
 
 def _cmd_build(args) -> int:
+    if args.mode == "exact" and args.usage_out:
+        raise ValueError("--usage-out applies to --mode practical only")
     dist = parse_distribution(Path(args.dist).read_text(encoding="utf-8"))
     target = _load_labeled_tree(args.target, dist.n)
     epsilon = args.epsilon / 2.0 if args.halve_epsilon else args.epsilon

@@ -30,13 +30,14 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "BareLeaf",
     "BareTree",
+    "CompiledLeaves",
     "CountingOracle",
     "DecisionTree",
     "Internal",
@@ -489,6 +490,24 @@ def unpack_bits(codes: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class CompiledLeaves(NamedTuple):
+    """A tree's leaves as parallel arrays, left to right: leaf k holds the
+    codes c with ``c & mask[k] == value[k]`` and carries ``label[k]``."""
+
+    mask: np.ndarray  # uint64: the coordinates queried on the leaf's path
+    value: np.ndarray  # uint64: their bits on the path, 0 elsewhere
+    label: np.ndarray  # int8
+
+
+def _compile_leaves(tree: DecisionTree) -> CompiledLeaves:
+    paths = _leaves(tree.root)
+    return CompiledLeaves(
+        np.array([sum(1 << i for i, _ in path) for path, _ in paths], dtype=np.uint64),
+        np.array([sum(b << i for i, b in path) for path, _ in paths], dtype=np.uint64),
+        np.array([leaf.label for _, leaf in paths], dtype=np.int8),
+    )
+
+
 class TargetOracle:
     """Query access to a hidden Boolean target f: {0,1}^n -> {-1,+1}.
 
@@ -500,6 +519,11 @@ class TargetOracle:
 
     def label_codes(self, codes: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def compiled_leaves(self) -> CompiledLeaves | None:
+        """The target's decision-tree leaves, or None when it has no tree
+        form.  Reading them is not a label query."""
+        return None
 
     def label(self, x: Sequence[int]) -> int:
         return int(self.label_codes(pack_bits(np.asarray(x)))[0])
@@ -519,6 +543,9 @@ class TreeOracle(TargetOracle):
     the oracle's own evaluation: a label query is still one code passed to
     ``label_codes``, which is all a :class:`CountingOracle` or a builder's
     query count sees.
+
+    :meth:`compiled_leaves` compiles the tree once, on its first call, into
+    per-leaf arrays.  Reading them labels no point, so it is no label query.
     """
 
     def __init__(self, tree: DecisionTree, n: int):
@@ -529,6 +556,7 @@ class TreeOracle(TargetOracle):
         self.tree = tree
         self.n = n
         self._table: TruthTableOracle | None = None
+        self._leaves: CompiledLeaves | None = None
 
     def label_codes(self, codes: np.ndarray) -> np.ndarray:
         if self.n > TABLE_MAX_COORDS:
@@ -536,6 +564,11 @@ class TreeOracle(TargetOracle):
         if self._table is None:
             self._table = TruthTableOracle(_fill_table(self.tree, self.n))
         return self._table.label_codes(codes)
+
+    def compiled_leaves(self) -> CompiledLeaves:
+        if self._leaves is None:
+            self._leaves = _compile_leaves(self.tree)
+        return self._leaves
 
 
 def _fill_table(tree: DecisionTree, n: int) -> np.ndarray:
@@ -570,7 +603,11 @@ class TruthTableOracle(TargetOracle):
 
 
 class CountingOracle(TargetOracle):
-    """Wrapper that counts label queries made against an inner oracle."""
+    """Wrapper that counts label queries made against an inner oracle.
+
+    It forwards :meth:`compiled_leaves` to the inner oracle without
+    counting: reading a tree's leaves labels no point.
+    """
 
     def __init__(self, inner: TargetOracle):
         self.inner = inner
@@ -580,6 +617,9 @@ class CountingOracle(TargetOracle):
     def label_codes(self, codes: np.ndarray) -> np.ndarray:
         self.queries += len(codes)
         return self.inner.label_codes(codes)
+
+    def compiled_leaves(self) -> CompiledLeaves | None:
+        return self.inner.compiled_leaves()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact measure-theoretic quantities, computed by enumeration.
+"""Exact measure-theoretic quantities, by enumeration or over a tree's leaves.
 
 Everything here conditions on a :class:`Restriction` (the queries fixed on
 a root-to-leaf path) and enumerates the remaining free coordinates, weighted
@@ -36,7 +36,29 @@ a leaf with constant labels skips them all; a skipped coordinate keeps
 0.0, which is what its reduction would give.  Fresh summaries reduce every
 free coordinate.
 
-Enumeration refuses instances with more than ``DEFAULT_MAX_FREE_COORDS``
+Leaf pairs.  A target given as a decision tree (an oracle whose
+``compiled_leaves`` is not None) partitions the cube into subcubes, one per
+leaf, so :func:`leaf_info` and :func:`split_children` need no enumeration.
+A leaf is consistent with a restriction when their fixed bits agree.  The
+positive mass is the summed weight of the consistent +1 leaves.  Two
+consistent leaves with different labels meet across x_i exactly when x_i is
+the only coordinate both fix to different bits; the points x with
+f(x, x_i=0) != f(x, x_i=1) form one subcube per such pair, weighed by the
+bias factors of the pair's fixed bits outside i and the restriction (the
+factor of x_i is left out, not divided out).  The flip influence of x_i is
+the sum of those weights, and the relevant coordinates are those with a
+pair.  A child keeps only its parent's consistent leaves.  No point is
+labeled, so a ``CountingOracle`` sees no query.
+
+The path is chosen once per build, from the target: leaf pairs when its
+ordered label-differing leaf pairs times n is at most 2^n, the size of the
+root enumeration, and enumeration otherwise, so no leaf-pair array has more
+entries than the root enumeration.  Table targets always enumerate.
+:func:`subfunction_summary`, :func:`positive_mass`, :func:`cost`,
+:func:`f_completion` and :func:`tree_error` always enumerate: they are the
+reference the verification suite and the tests compare against.
+
+Both paths refuse restrictions with more than ``DEFAULT_MAX_FREE_COORDS``
 free coordinates; callers may raise the cap explicitly.  At the cap one
 :func:`subfunction_summary` call labels 2^24 points (a depth-6 balanced
 target), which took about 1.2-1.5 s, against 1.6-1.7 s on one thread, and
@@ -52,6 +74,7 @@ import numpy as np
 from . import core
 from .core import (
     BareTree,
+    CompiledLeaves,
     DecisionTree,
     ProductDistribution,
     Restriction,
@@ -124,11 +147,15 @@ def _weights(dist: ProductDistribution, free: list[int]) -> np.ndarray:
     return weights
 
 
+def _check_dimensions(oracle: TargetOracle, dist: ProductDistribution) -> None:
+    if oracle.n != dist.n:
+        raise ValueError(f"oracle has n={oracle.n}, distribution has n={dist.n}")
+
+
 def _codes(view: SubfunctionView, dist: ProductDistribution, max_free: int) -> np.ndarray:
     """Code of every assignment of the free coordinates, in enumeration order:
     bit t of the index is free coordinate ``view.free_coords()[t]``."""
-    if dist.n != view.n:
-        raise ValueError(f"distribution has n={dist.n}, oracle has n={view.n}")
+    _check_dimensions(view.oracle, dist)
     free = view.free_coords()
     _check_budget(len(free), max_free)
     codes = np.full(1, view.restriction.base_code(), dtype=np.uint64)
@@ -141,15 +168,20 @@ def _codes(view: SubfunctionView, dist: ProductDistribution, max_free: int) -> n
 class SubfunctionSummary:
     """Positive mass and every coordinate's influence, re-randomization and
     flip forms (exactly 0 on restricted coordinates), of one subfunction,
-    plus its ±1 values in enumeration order and its relevant coordinates:
-    those with at least one pair of points, differing only there, that the
-    subfunction labels differently."""
+    and its relevant coordinates: those with at least one pair of points,
+    differing only there, that the subfunction labels differently.
+
+    An enumeration also keeps its ±1 values in enumeration order as
+    ``labels``; a leaf-pair summary keeps the target's consistent leaves as
+    ``leaves``.  The other field is None.
+    """
 
     positive_mass: float
     influences: np.ndarray
     flip_influences: np.ndarray
-    labels: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray | None = field(repr=False, compare=False)
     relevant: frozenset[int] = field(repr=False, compare=False)
+    leaves: CompiledLeaves | None = field(default=None, repr=False, compare=False)
 
     @property
     def variance(self) -> float:
@@ -229,6 +261,56 @@ def subfunction_summary(
     return _summarize(dist, free, labels, _weights(dist, free))
 
 
+def _pairs_fit(leaves: CompiledLeaves | None, n: int) -> bool:
+    """Whether leaf pairs serve a target with these compiled leaves: its
+    ordered label-differing leaf pairs times n are at most 2^n."""
+    if leaves is None:
+        return False
+    plus = int(np.count_nonzero(leaves.label > 0))
+    return 2 * plus * (len(leaves.label) - plus) * n <= 1 << n
+
+
+def _piece_weights(dist: ProductDistribution, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Probability of each subcube {x : x & mask == value & mask}."""
+    shifts = np.arange(dist.n, dtype=np.uint64)
+    fixed = ((masks[:, None] >> shifts) & np.uint64(1)) != 0
+    ones = ((values[:, None] >> shifts) & np.uint64(1)) != 0
+    p = np.asarray(dist.biases)
+    return np.where(fixed, np.where(ones, p, 1.0 - p), 1.0).prod(axis=1)
+
+
+def _pair_summary(
+    dist: ProductDistribution, restriction: Restriction, leaves: CompiledLeaves
+) -> SubfunctionSummary:
+    """The summary of the restriction from the target's leaves (see the
+    module docstring); ``leaves`` must hold every leaf consistent with it."""
+    fixed_mask = np.uint64(sum(1 << i for i in restriction.coordinates()))
+    keep = ((leaves.value ^ np.uint64(restriction.base_code())) & leaves.mask & fixed_mask) == 0
+    leaves = CompiledLeaves(*(a[keep] for a in leaves))
+    plus = leaves.label > 0
+    pm, pv = leaves.mask[plus], leaves.value[plus]
+    nm, nv = leaves.mask[~plus], leaves.value[~plus]
+    # Two leaves of a tree are disjoint, so every +1/-1 pair has a
+    # conflicting bit; it meets across x_i when that bit is x_i alone.
+    conflict = (pv[:, None] ^ nv) & pm[:, None] & nm
+    a, b = np.nonzero((conflict & (conflict - np.uint64(1))) == 0)
+    bit = conflict[a, b]
+    # one piece per +1 leaf, then one per meeting pair without its x_i
+    masks = np.concatenate([pm, (pm[a] | nm[b]) & ~bit]) & ~fixed_mask
+    weights = _piece_weights(dist, masks, np.concatenate([pv, pv[a] | nv[b]]))
+    coords = np.frexp(bit.astype(np.float64))[1] - 1  # exact: bit is a power of two
+    flip = np.bincount(coords, weights=weights[len(pm):], minlength=dist.n)
+    p = np.asarray(dist.biases)
+    return SubfunctionSummary(
+        positive_mass=float(np.sum(weights[:len(pm)])),
+        influences=2.0 * p * (1.0 - p) * flip,
+        flip_influences=flip,
+        labels=None,
+        relevant=frozenset(np.unique(coords).tolist()),
+        leaves=leaves,
+    )
+
+
 def positive_mass(
     view: SubfunctionView,
     dist: ProductDistribution,
@@ -248,11 +330,11 @@ def positive_mass(
 class LeafInfo:
     """What the greedy step needs about one leaf of a bare tree.
 
-    ``labels`` holds the target's ±1 value at every assignment of the leaf's
-    free coordinates, in enumeration order, so a split can derive both
-    children without labeling again.  The live leaves of a bare tree
-    partition the cube, so together they hold 2^n labels: 2^n bytes with
-    this package's oracles, which label in int8.
+    A split derives both children from ``labels`` or ``leaves``, whichever
+    the leaf's path keeps (see :class:`SubfunctionSummary`), without
+    labeling again.  The live leaves of a bare tree partition the cube, so
+    on enumeration they hold 2^n labels together: 2^n bytes with this
+    package's oracles, which label in int8.
     """
 
     restriction: Restriction
@@ -261,8 +343,9 @@ class LeafInfo:
     leaf_cost: float  # reach * total influence
     score: float  # reach * largest influence
     coord: int  # coordinate of the largest influence; -1 with none free
-    labels: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray | None = field(repr=False, compare=False)
     relevant: frozenset[int] = field(repr=False, compare=False)
+    leaves: CompiledLeaves | None = field(repr=False, compare=False)
 
     @property
     def error_mass(self) -> float:
@@ -287,6 +370,7 @@ def _leaf(
         coord=best,
         labels=summary.labels,
         relevant=summary.relevant,
+        leaves=summary.leaves,
     )
 
 
@@ -296,27 +380,42 @@ def leaf_info(
     restriction: Restriction,
     max_free: int = DEFAULT_MAX_FREE_COORDS,
 ) -> LeafInfo:
-    """Reach, positive mass, cost and score of the leaf at ``restriction``.
-    Ties in influence go to the lowest coordinate; with no free coordinate
-    the score is 0 at coordinate -1."""
+    """Reach, positive mass, cost and score of the leaf at ``restriction``,
+    over leaf pairs or by enumeration as the target decides (see the module
+    docstring).  Ties in influence go to the lowest coordinate; with no
+    free coordinate the score is 0 at coordinate -1."""
+    _check_dimensions(oracle, dist)
     view = SubfunctionView(oracle, restriction)
-    return _leaf(dist, restriction, view.free_coords(), subfunction_summary(view, dist, max_free))
+    free = view.free_coords()
+    _check_budget(len(free), max_free)
+    leaves = oracle.compiled_leaves()
+    if _pairs_fit(leaves, oracle.n):
+        summary = _pair_summary(dist, restriction, leaves)
+    else:
+        summary = subfunction_summary(view, dist, max_free)
+    return _leaf(dist, restriction, free, summary)
 
 
 def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo, LeafInfo]:
     """The leaves that splitting ``info`` on ``info.coord`` creates, x = 0
     first, equal to ``leaf_info`` of each child restriction.
 
-    The labels come from the parent's: with the split coordinate at
-    position t of the free coordinates, child b takes the index slice whose
-    bit t is b, which is already in the child's enumeration order.  No
-    point is labeled again, and only the parent's relevant coordinates are
-    reduced.
+    On leaf pairs each child keeps the parent's leaves consistent with it.
+    On enumeration the labels come from the parent's: with the split
+    coordinate at position t of the free coordinates, child b takes the
+    index slice whose bit t is b, which is already in the child's
+    enumeration order, and only the parent's relevant coordinates are
+    reduced.  Either way no point is labeled again.
     """
     fixed = info.restriction.coordinates()
     free = [i for i in range(dist.n) if i not in fixed]
     t = free.index(info.coord)
     child_free = free[:t] + free[t + 1:]
+    if info.leaves is not None:
+        children = [info.restriction.extend(info.coord, b) for b in (0, 1)]
+        return tuple(
+            _leaf(dist, r, child_free, _pair_summary(dist, r, info.leaves)) for r in children
+        )
     weights = _weights(dist, child_free)
     halves = info.labels.reshape(-1, 2, 1 << t)
     return tuple(
@@ -332,13 +431,15 @@ def cost(
     dist: ProductDistribution,
     max_free: int = DEFAULT_MAX_FREE_COORDS,
 ) -> float:
-    """Sum over leaves of reach probability times total influence.
+    """Sum over leaves of reach probability times total influence, by
+    enumeration.
 
     This potential decreases by exactly the split leaf's score at every
     greedy step, and upper-bounds the completion's error.
     """
     return sum(
-        leaf_info(oracle, dist, restriction, max_free).leaf_cost
+        dist.reach_probability(restriction)
+        * subfunction_summary(SubfunctionView(oracle, restriction), dist, max_free).total_influence
         for restriction, _ in leaf_paths(bare)
     )
 

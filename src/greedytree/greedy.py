@@ -13,14 +13,19 @@ score, the potential ("cost") before and after the split, and the exact
 completion error before the split; the verification suite replays these
 against independently recomputed values.
 
-The target is labeled once per build: the root's enumeration labels all
-2^n points, and each split derives its two children from the parent's
-labels (:func:`greedytree.exact.split_children`), so a ``CountingOracle``
-target sees exactly 2^n queries.  The live leaves hold only their labels
-(2^n in all), not codes or weights; the final tree takes its labels from
-the positive masses already held.  A child reduces only the coordinates
+Leaves are scored on one of two paths, chosen once per build from the
+target (see :mod:`greedytree.exact`).  A tree target whose ordered
+label-differing leaf pairs times n are at most 2^n is scored over pairs of
+its leaves: no point is labeled, so a ``CountingOracle`` target sees no
+query, and each child keeps its parent's consistent leaves.  Any other
+target is labeled once per build: the root's enumeration labels all 2^n
+points, and each split derives its two children from the parent's labels
+(:func:`greedytree.exact.split_children`), so a ``CountingOracle`` target
+sees exactly 2^n queries.  There the live leaves hold only their labels
+(2^n in all), not codes or weights; a child reduces only the coordinates
 its parent found relevant, and large leaves reduce on the draw threads
-too (see :mod:`greedytree.exact`).
+too.  On both paths the final tree takes its labels from the positive
+masses already held.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ def build_topdown_exact(
     ``max_splits`` defaults to 2^min(n, 62), the structural cap both
     builders use.  The paper's size bound is no cap: the size-bound checks
     exempt runs that end ``terminated=False``, so it could only hide what
-    they look for.
+    they look for.  An oracle whose n differs from ``dist.n`` is refused
+    with a ValueError before any leaf is compiled or point labeled.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")

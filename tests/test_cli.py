@@ -237,6 +237,17 @@ class TestUsageErrors:
         ]) == 1
         assert "max_splits" in capsys.readouterr().err
 
+    def test_usage_out_refused_in_exact_mode(self, workdir, capsys):
+        usage, out = workdir / "usage.csv", workdir / "result.json"
+        assert main([
+            "build", "--target", str(workdir / "target.json"), "--dist", str(workdir / "dist.json"),
+            "--epsilon", "0.2", "--mode", "exact", "--usage-out", str(usage), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--usage-out" in err
+        assert not usage.exists() and not out.exists()
+
     def test_negative_max_splits_in_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

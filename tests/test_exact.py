@@ -33,6 +33,9 @@ from greedytree.exact import (
     LeafInfo,
     SubfunctionView,
     _codes,
+    _leaf,
+    _pair_summary,
+    _pairs_fit,
     _weights,
     cost,
     f_completion,
@@ -42,7 +45,12 @@ from greedytree.exact import (
     subfunction_summary,
     tree_error,
 )
-from greedytree.targets import generate_random_tree, generate_truth_table
+from greedytree.targets import (
+    generate_balanced_target,
+    generate_random_tree,
+    generate_truth_table,
+)
+from greedytree.verify import _table_as_tree, generate_instance
 
 UNIFORM2 = ProductDistribution([0.5, 0.5])
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
@@ -283,11 +291,19 @@ def split_oracle(kind: str, n: int, rng):
     return CountingOracle(TreeOracle(generate_random_tree(n, 5, rng), n))
 
 
+def same_arrays(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def assert_same_leaf(got: LeafInfo, want: LeafInfo):
+    """Every field equal, arrays byte for byte; ``labels`` on enumeration
+    and ``leaves`` on leaf pairs, the other None on both."""
     for f in dataclasses.fields(LeafInfo):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "labels":
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if f.name == "labels" and a is not None:
+            assert same_arrays(a, b)
+        elif f.name == "leaves" and a is not None:
+            assert all(same_arrays(x, y) for x, y in zip(a, b, strict=True))
         else:
             assert a == b, f.name
 
@@ -329,6 +345,104 @@ class TestSplitChildren:
             for b, child in enumerate(split_children(dataclasses.replace(info, coord=coord), dist)):
                 assert_same_leaf(child, leaf_info(oracle, dist, info.restriction.extend(coord, b)))
                 live.append(child)
+
+
+def random_restriction(n: int, rng) -> Restriction:
+    coords = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    return Restriction({int(i): int(rng.integers(2)) for i in coords})
+
+
+def pair_leaf(oracle, dist, restriction) -> LeafInfo:
+    """``leaf_info`` on the leaf-pair path, whichever path the rule names."""
+    free = [i for i in range(dist.n) if i not in restriction]
+    summary = _pair_summary(dist, restriction, oracle.compiled_leaves())
+    return _leaf(dist, restriction, free, summary)
+
+
+class TestLeafPairs:
+    """Leaf-pair summaries against enumeration, and the rule between them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["tree", "balanced", "path"]),
+        bias=st.sampled_from(["uniform", "fixed", "random"]),
+    )
+    def test_summary_equals_enumeration(self, seed, kind, bias):
+        inst = generate_instance(seed, max_n=12, kinds=(kind,), bias_kinds=(bias,))
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            r = random_restriction(inst.dist.n, rng)
+            got = _pair_summary(inst.dist, r, inst.oracle.compiled_leaves())
+            want = subfunction_summary(SubfunctionView(inst.oracle, r), inst.dist)
+            assert got.positive_mass == pytest.approx(want.positive_mass, rel=1e-12, abs=0)
+            for form in ("influences", "flip_influences"):
+                values = getattr(got, form)
+                np.testing.assert_allclose(values, getattr(want, form), rtol=1e-12, atol=0)
+                assert all(values[i] == 0.0 for i in r.coordinates())
+            assert got.relevant == want.relevant
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["tree", "balanced", "path"]))
+    def test_children_equal_fresh_pair_leaves(self, seed, kind):
+        inst = generate_instance(seed, max_n=12, kinds=(kind,))
+        rng = np.random.default_rng(seed)
+        info = pair_leaf(inst.oracle, inst.dist, Restriction())
+        while len(info.restriction) < inst.dist.n:
+            free = [i for i in range(inst.dist.n) if i not in info.restriction]
+            coord = int(rng.choice(free))
+            children = split_children(dataclasses.replace(info, coord=coord), inst.dist)
+            for b, child in enumerate(children):
+                fresh = pair_leaf(inst.oracle, inst.dist, info.restriction.extend(coord, b))
+                assert_same_leaf(child, fresh)
+            info = children[int(rng.integers(2))]
+        assert len(info.leaves.label) == 1
+
+    def test_rule_compares_pairs_times_n_with_the_enumeration(self):
+        # ordered label-differing pairs: 2 for the dictator, 4 for AND2
+        assert _pairs_fit(TreeOracle(DICTATOR, 2).compiled_leaves(), 2)  # 2 * 2 == 2^2
+        assert not _pairs_fit(TreeOracle(AND2, 3).compiled_leaves(), 3)  # 4 * 3 > 2^3
+        assert _pairs_fit(TreeOracle(AND2, 4).compiled_leaves(), 4)  # 4 * 4 == 2^4
+        assert _pairs_fit(TreeOracle(CONST2, 2).compiled_leaves(), 2)
+        assert generate_truth_table(3, np.random.default_rng(0)).compiled_leaves() is None
+
+    def test_leaf_info_takes_the_path_the_rule_names(self):
+        rng = np.random.default_rng(5)
+        n = 8
+        table = generate_truth_table(n, rng)
+        complete = CountingOracle(TreeOracle(_table_as_tree(table), n))
+        small = CountingOracle(TreeOracle(generate_balanced_target(2, n, rng), n))
+        dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
+        r = Restriction({2: 1})
+        enumerated, paired = leaf_info(complete, dist, r), leaf_info(small, dist, r)
+        assert enumerated.leaves is None and complete.queries == 1 << (n - 1)
+        assert_same_leaf(enumerated, leaf_info(table, dist, r))
+        assert paired.labels is None and small.queries == 0
+        assert small.inner._table is None
+        assert_same_leaf(paired, pair_leaf(small, dist, r))
+
+    def test_underflowed_influence_stays_relevant(self):
+        # TestRelevance's case on leaf pairs: f = +1 only at x = 111, and the
+        # pair across coordinate 2 weighs 1e-200 * 1e-200, which underflows
+        and3 = DecisionTree(
+            Internal(0, Leaf(-1), Internal(1, Leaf(-1), Internal(2, Leaf(-1), Leaf(1))))
+        )
+        oracle = TreeOracle(and3, 3)
+        dist = ProductDistribution([1e-200, 1e-200, 0.5])
+        summary = _pair_summary(dist, Restriction(), oracle.compiled_leaves())
+        assert summary.flip_influences[2] == 0.0
+        assert summary.relevant == {0, 1, 2}
+        assert pair_leaf(oracle, dist, Restriction({0: 1})).relevant == {1, 2}
+
+    def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self):
+        oracle = CountingOracle(TreeOracle(DICTATOR, 5))
+        assert _pairs_fit(oracle.compiled_leaves(), 5)
+        with pytest.raises(ValueError, match="oracle has n=5, distribution has n=2"):
+            leaf_info(oracle, UNIFORM2, Restriction())
+        with pytest.raises(EnumerationLimitError):
+            leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction(), max_free=4)
+        leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction({0: 1}), max_free=4)
+        assert oracle.queries == 0
 
 
 def brute_relevant(table: np.ndarray, n: int, restriction: Restriction) -> frozenset[int]:
@@ -386,6 +500,15 @@ class TestRelevance:
                                    ).flip_influences[2] == 1e-200
 
 
+def enumerated_oracle(kind: str, n: int, rng):
+    """A ``split_oracle`` kind whose tree is past the leaf-pair rule: a
+    depth-8 balanced tree has 128 leaves of each label."""
+    if kind == "table":
+        return generate_truth_table(n, rng)
+    oracle = TreeOracle(generate_balanced_target(8, n, rng), n)
+    return oracle if kind == "tree" else CountingOracle(oracle)
+
+
 def _run_exact(oracle, dist, threads, monkeypatch):
     """A capped build plus the leaves of the first three levels (the root and
     its children hold at least two draw blocks), with ``threads`` reduction
@@ -413,7 +536,8 @@ class TestThreadedReduction:
         n = 17
         assert 1 << n >= 2 * core._MIN_BLOCK  # the root takes the pool path
         rng = np.random.default_rng([n, len(kind), len(bias)])
-        oracle = split_oracle(kind, n, rng)
+        oracle = enumerated_oracle(kind, n, rng)
+        assert not _pairs_fit(oracle.compiled_leaves(), n)
         dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
         build1, leaves1, started1 = _run_exact(oracle, dist, 1, monkeypatch)
         build2, leaves2, started2 = _run_exact(oracle, dist, 2, monkeypatch)

@@ -13,7 +13,7 @@ from greedytree.core import (
     TreeOracle,
     size,
 )
-from greedytree.exact import EnumerationLimitError, cost, f_completion, tree_error
+from greedytree.exact import EnumerationLimitError, _pairs_fit, cost, f_completion, tree_error
 from greedytree.greedy import build_topdown_exact, size_bound_log
 from greedytree.targets import generate_random_tree, generate_truth_table
 from greedytree.verify import _replay_prefixes, generate_instance
@@ -158,8 +158,10 @@ class TestSizeBoundLog:
 
 class TestLabelQueries:
     def test_each_point_is_labeled_once_per_build(self):
+        # tables and trees past the leaf-pair rule label every point once;
+        # trees within it are scored from their leaves and label none
         rng = np.random.default_rng(17)
-        splits = []
+        splits, paths = [], set()
         for k in range(12):
             n = int(rng.integers(2, 11))
             if k % 3:
@@ -169,9 +171,16 @@ class TestLabelQueries:
             oracle = CountingOracle(inner)
             dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
             result = build_topdown_exact(oracle, dist, epsilon=0.02)
-            assert oracle.queries == 1 << n
+            pairs = _pairs_fit(inner.compiled_leaves(), n)
+            if pairs:
+                assert oracle.queries == 0
+                assert inner._table is None
+            else:
+                assert oracle.queries == 1 << n
+            paths.add((isinstance(inner, TreeOracle), pairs))
             splits.append(result.splits)
         assert max(splits) >= 8
+        assert paths == {(False, False), (True, False), (True, True)}
 
     def test_enumeration_cap_raises_before_any_label_query(self):
         oracle = CountingOracle(TreeOracle(DICTATOR, 5))
@@ -186,6 +195,20 @@ class TestValidation:
             build_topdown_exact(DICTATOR, UNIFORM2, epsilon=0.0)
         with pytest.raises(ValueError):
             build_topdown_exact(DICTATOR, UNIFORM2, epsilon=1.5)
+
+    @pytest.mark.parametrize("kind", ["tree", "counting", "table"])
+    def test_dimension_mismatch_refused_before_any_work(self, kind):
+        tree = TreeOracle(DICTATOR, 3)
+        oracle = {
+            "tree": tree,
+            "counting": CountingOracle(tree),
+            "table": generate_truth_table(3, np.random.default_rng(0)),
+        }[kind]
+        for dist in (UNIFORM2, ProductDistribution([0.5] * 4)):
+            with pytest.raises(ValueError, match=f"oracle has n=3, distribution has n={dist.n}"):
+                build_topdown_exact(oracle, dist, epsilon=0.1)
+        assert tree._leaves is None and tree._table is None
+        assert getattr(oracle, "queries", 0) == 0
 
     def test_negative_max_splits_refused(self):
         with pytest.raises(ValueError, match="max_splits"):
