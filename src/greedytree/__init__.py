@@ -4,9 +4,10 @@ Two builders follow the same greedy rule in separate loops:
 :func:`build_topdown_exact` scores leaves with exactly computed coordinate
 influences, while :func:`build_topdown_practical` is fully sample-driven
 and parameter-free.
-The :mod:`greedytree.exact` module provides the enumeration-based measure
-engine, :mod:`greedytree.verify` the brute-force property checkers, and
-:mod:`greedytree.cli` the experiment harness.
+The :mod:`greedytree.exact` module provides the exact measure engine, which
+scores tree targets over their leaf pairs and enumerates the rest,
+:mod:`greedytree.verify` the brute-force property checkers, and
+:mod:`greedytree.cli` the experiment harness (also ``python -m greedytree``).
 """
 
 from .core import (

@@ -349,7 +349,8 @@ class LeafInfo:
 
     @property
     def error_mass(self) -> float:
-        return self.reach * min(self.mu_plus, 1.0 - self.mu_plus)
+        # mu_plus of an all-+1 region can round just above 1
+        return self.reach * max(0.0, min(self.mu_plus, 1.0 - self.mu_plus))
 
 
 def _leaf(

@@ -20,10 +20,10 @@ leaf its share of a fresh batch, so per-leaf counts follow the correct
 conditional law while the pool totals meet the floors exactly.
 
 All coordinates share one draw of x per step.  The step draws ``d_pairs``
-points x, then ``d_pairs`` points y of the product of the marginals of the
-coordinates, and pairs x with x' = x except that bit i is y's bit for i, for
-every coordinate i.  So coordinate i's pool gets ``d_pairs`` new pairs, each
-an x ~ mu with bit i redrawn, as if it had been drawn alone.
+points x, then ``d_pairs`` more points y of the same distribution, and pairs
+x with x' = x except that bit i is y's bit for i, for every coordinate i.
+So coordinate i's pool gets ``d_pairs`` new pairs, each an x ~ mu with bit i
+redrawn.
 
 A pair contributes to a leaf's score estimate only when both endpoints
 reach the leaf and the labels disagree.  If the redrawn coordinate is not
@@ -33,7 +33,8 @@ contribution is zero either way.  The estimate divides by the full pool
 size, which makes it an unbiased estimator of the true score -- a property
 the test suite checks by Monte Carlo against the exact engine.
 :func:`draw_pair_batch` is that estimator; the builder and the unbiasedness
-check in :mod:`greedytree.verify` both run it.
+check in :mod:`greedytree.verify` make the same call, once per step and
+once per resample.
 
 Sharing x is sound.  For each leaf and coordinate the estimate is still the
 mean of ``pair_floor`` iid indicators, each of the law a pair drawn for that
@@ -68,7 +69,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -78,6 +78,7 @@ from .core import (
     DecisionTree,
     ProductDistribution,
     TargetOracle,
+    _leaves,
     label_leaves,
     route_codes,  # unused here; perfbench/layers.py looks it up on this module
     route_groups,
@@ -154,17 +155,16 @@ def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
 class PairBatch:
     """The labeled pairs of one shared draw of ``drawn`` points x, and their hits.
 
-    Each x is paired, for each coordinate i the batch was drawn for, with
-    x' equal to x except that bit i is redrawn.  A pair is labeled only when
-    its redrawn bit came out different from x's, so that x' is x with bit i
-    flipped, and i is not queried on the path of the leaf x reaches.
-    ``x_labels`` and ``alt_labels`` hold the labels of x and x', one entry
-    per labeled pair, coordinate by coordinate in the order given, and
-    ``len`` counts the labeled pairs.  ``hits[leaf, i]`` holds, in draw
-    order, the x at ``leaf`` whose pair for i disagrees; a key with no hit
-    is left out.  The oracle labeled ``x_queries`` points x, each x with a
-    labeled pair once, and one x' per labeled pair.  Estimates divide by
-    ``drawn``.
+    Each x is paired, for every coordinate i, with x' equal to x except
+    that bit i is redrawn.  A pair is labeled only when its redrawn bit came
+    out different from x's, so that x' is x with bit i flipped, and i is not
+    queried on the path of the leaf x reaches.  ``x_labels`` and
+    ``alt_labels`` hold the labels of x and x', one entry per labeled pair,
+    coordinate by coordinate in ascending order, and ``len`` counts the
+    labeled pairs.  ``hits[leaf, i]`` holds, in draw order, the x at
+    ``leaf`` whose pair for i disagrees; a key with no hit is left out.  The
+    oracle labeled ``x_queries`` points x, each x with a labeled pair once,
+    and one x' per labeled pair.  Estimates divide by ``drawn``.
     """
 
     x_labels: np.ndarray
@@ -184,46 +184,30 @@ class PairBatch:
 def draw_pair_batch(
     oracle: TargetOracle,
     dist: ProductDistribution,
-    coords: Iterable[int],
     rng: np.random.Generator,
     count: int,
     bare: BareTree,
-    paths: Mapping[int, Iterable[int]],
 ) -> PairBatch:
-    """Draw ``count`` points x, pair each with a redraw of every coordinate
-    in ``coords``, label the pairs that can count, and score them at the
-    leaves of ``bare``; ``paths[leaf_id]`` holds the coordinates the leaf's
-    path queries.
+    """Draw ``count`` points x, pair each with a redraw of every coordinate,
+    label the pairs that can count, and score them at the leaves of ``bare``.
 
-    The redrawn bits are one more product draw, y of the marginals of
-    ``coords`` in their order: the bit of y for coordinate i equals x_i
+    The redrawn bits are one more draw y of ``dist``: bit i of y equals x_i
     with probability 1 - 2 p_i (1 - p_i), and then x' = x and the pair
-    cannot disagree.  So the stream is ``count`` codes of ``dist``, then
-    ``count`` uniforms per coordinate of ``coords``; for one coordinate
-    this is the stream of drawing that coordinate's pairs alone.
+    cannot disagree.  So the stream is ``count`` codes of ``dist`` twice,
+    and the bits that flipped are x ^ y.
 
-    Each x gets one word of the coordinates whose bit flipped.  One walk
-    routes the x and clears from each word the coordinates queried on the
-    path of the leaf its x reaches; the pairs left are labeled, their
-    disagreements kept as one more word per x, and each leaf reads its
-    hits from its group of the same walk.
+    One walk routes the x and clears from each x ^ y the coordinates queried
+    on the path of the leaf its x reaches; the pairs left are labeled, their
+    disagreements kept as one more word per x, and each leaf reads its hits
+    from its group of the same walk.
     """
-    coords = tuple(coords)
-    if not coords or len(set(coords)) < len(coords) or not all(0 <= i < dist.n for i in coords):
-        raise ValueError(f"need distinct coordinates in range for n={dist.n}, got {coords}")
     x = dist.draw_codes(rng, count)
-    y = ProductDistribution([dist.biases[i] for i in coords]).draw_codes(rng, count)
-    if coords == tuple(range(dist.n)):
-        flips = x ^ y
-    else:
-        flips = np.zeros(count, dtype=np.uint64)
-        for k, i in enumerate(coords):
-            flips |= (((y >> np.uint64(k)) ^ (x >> np.uint64(i))) & np.uint64(1)) << np.uint64(i)
+    flips = x ^ dist.draw_codes(rng, count)
     groups = list(route_groups(bare, x))
+    paths = {leaf.id: sum(1 << v for v, _ in path) for path, leaf in _leaves(bare.root)}
     for leaf, idx in groups:
-        path = sum(1 << i for i in paths[leaf.id])
-        if path:
-            flips[idx] &= ~np.uint64(path)
+        if paths[leaf.id]:
+            flips[idx] &= ~np.uint64(paths[leaf.id])
     # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
     # about 2.5x as long as flatnonzero followed by the integer gather, and
     # flatnonzero of a uint64 word about 6x as long as of its test != 0.
@@ -232,7 +216,7 @@ def draw_pair_batch(
     labels[some] = oracle.label_codes(x[some])
     disagree = np.zeros(count, dtype=np.uint64)
     x_labels, alt_labels = [], []
-    for i in coords:
+    for i in range(dist.n):
         bit = np.uint64(1 << i)
         idx = np.flatnonzero((flips & bit) != 0)
         x_labels.append(labels[idx])
@@ -415,10 +399,7 @@ def build_topdown_practical(
                 side = positive[idx]
                 states[leaf.id].deposit((stream, 1), codes[idx[np.flatnonzero(side)]])
                 states[leaf.id].deposit((stream, -1), codes[idx[np.flatnonzero(~side)]])
-        paths = {leaf_id: st.path for leaf_id, st in states.items()}
-        batch = draw_pair_batch(
-            oracle, dist, range(n), _stream(seed, _PAIR_STREAM, j), d_pairs, bare, paths
-        )
+        batch = draw_pair_batch(oracle, dist, _stream(seed, _PAIR_STREAM, j), d_pairs, bare)
         label_queries += batch.label_queries
         random_draws += 2 * d_pairs  # the points x and their redrawn bits y
         for (leaf_id, i), hits in batch.hits.items():

@@ -525,34 +525,33 @@ def _unbiasedness_probes(
 ) -> tuple[int, int, float]:
     """(probes within 3 standard errors, total probes, worst z-score).
 
-    Each resample is one batch of ``pair_count`` pairs per coordinate,
-    scored by :func:`greedytree.sampling.draw_pair_batch`, the estimator the
-    practical builder runs.
+    Each resample is one call of :func:`greedytree.sampling.draw_pair_batch`,
+    the practical builder's call: ``pair_count`` pairs for every coordinate
+    from one shared draw.  For each (leaf, coordinate) the resamples are iid
+    draws of that estimate.
     """
     dist, oracle = instance.dist, instance.oracle
     leaves = []
-    paths = {}
     for restriction, leaf in leaf_paths(bare):
         assert isinstance(leaf, BareLeaf)
         summary = subfunction_summary(SubfunctionView(oracle, restriction), dist)
         leaves.append((leaf.id, dist.reach_probability(restriction), summary.influences))
-        paths[leaf.id] = restriction.coordinates()
     id_index = {lid: k for k, (lid, _, _) in enumerate(leaves)}
 
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7001]))
+    counts = np.zeros((resamples, len(leaves), dist.n))
+    for r in range(resamples):
+        batch = draw_pair_batch(oracle, dist, rng, pair_count, bare)
+        for (lid, i), hits in batch.hits.items():
+            counts[r, id_index[lid], i] = len(hits)
+    estimates = counts / pair_count
     ok = 0
     total = 0
     worst = 0.0
-    for i in range(dist.n):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 7001, i]))
-        counts = np.zeros((resamples, len(leaves)))
-        for r in range(resamples):
-            batch = draw_pair_batch(oracle, dist, (i,), rng, pair_count, bare, paths)
-            for (lid, _), hits in batch.hits.items():
-                counts[r, id_index[lid]] = len(hits)
-        estimates = counts / pair_count
-        for lid, reach, infl in leaves:
+    for k, (_, reach, infl) in enumerate(leaves):
+        for i in range(dist.n):
             exact = reach * float(infl[i])
-            col = estimates[:, id_index[lid]]
+            col = estimates[:, k, i]
             mean = float(np.mean(col))
             stderr = float(np.std(col, ddof=1)) / np.sqrt(resamples)
             total += 1

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greedytree
 from greedytree.cli import main
 from greedytree.core import (
     DecisionTree,
@@ -305,3 +309,15 @@ class TestUsageErrors:
             "verify", "--tree", str(tmp_path / "absent.json"),
             "--target", str(tmp_path / "absent.json"), "--dist", str(tmp_path / "absent.json"),
         ]) == 1
+
+
+def test_module_entry_point_runs_the_cli():
+    # ``python -m greedytree`` runs the same parser as the console script
+    src = str(Path(greedytree.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "greedytree", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: greedytree")

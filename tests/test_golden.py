@@ -42,7 +42,7 @@ BUILD_BIASES = [0.5, 0.3, 0.1, 0.7, 0.5, 0.2, 0.6, 0.4]
 BUILD_SHA = {
     ("practical", 4): "4c6976f8285803713cc160cd7ca4831ed07e156759d32b45c188943481651464",
     ("practical", 5): "a92c756eafbbbc989638e36ad0f9b83e5de84869ea9c771e7cea41d3318e2a49",
-    ("exact", 4): "88872a3cdbdaa014b1627b08a057207d3772a367a4c541157c727c43350c558c",
+    ("exact", 4): "365974f412a73558dd71398c2b1794d359ae289921b5e590137fb7f85069de56",
     ("exact", 5): "24c2fa3494ba572d824a375b65bb904f9f323ac2a04c4bb318dd0e756057ac0f",
 }
 USAGE_SHA = {
@@ -104,7 +104,7 @@ def test_build_trace_digest(tmp_path, mode, seed):
         assert _sha(usage) == USAGE_SHA[seed]
 
 
-PROPS_CSV_SHA = "0e2c02b7154003b86488f10f63bb511badce0a0676fe976fc83a329da154ed30"
+PROPS_CSV_SHA = "faecdaabd86b5a488c2a0ca39ffa5f545388b8cf9b088b9e136afe341b677e2e"
 
 
 def test_props_csv_digest(tmp_path):

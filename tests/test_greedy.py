@@ -11,6 +11,7 @@ from greedytree.core import (
     Leaf,
     ProductDistribution,
     TreeOracle,
+    TruthTableOracle,
     size,
 )
 from greedytree.exact import EnumerationLimitError, _pairs_fit, cost, f_completion, tree_error
@@ -60,6 +61,18 @@ class TestTermination:
             exact = tree_error(result.tree, TreeOracle(target, n), dist)
             assert exact <= 0.2 + 1e-12
             assert exact == pytest.approx(result.final_error, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [57, 191])
+    def test_final_error_never_negative(self, seed):
+        # an all-+1 region's positive mass can round just above 1; the
+        # error of its leaf is clamped at 0 rather than going to -2.2e-16
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        table = np.where(rng.random(1 << n) < 0.85, 1, -1)
+        dist = ProductDistribution(rng.uniform(0.05, 0.95, n))
+        result = build_topdown_exact(TruthTableOracle(table), dist, epsilon=0.01)
+        assert result.final_error >= 0.0
+        assert all(step.completion_error >= 0.0 for step in result.steps)
 
     def test_max_splits_exhaustion_flagged(self):
         result = build_topdown_exact(PARITY2, UNIFORM2, epsilon=0.01, max_splits=1)

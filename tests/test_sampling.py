@@ -23,7 +23,6 @@ from greedytree.core import (
     route_codes,
     size,
     split_leaf,
-    tree_variables,
 )
 from greedytree.exact import tree_error
 from greedytree.sampling import (
@@ -103,8 +102,8 @@ class TestSchedules:
             pair_schedule(1, 0.1, 0.5, 0)
 
 
-def _random_bare(n: int, rng: np.random.Generator, splits: int) -> tuple[BareTree, dict]:
-    """A bare tree of up to ``splits`` random splits, with each leaf's path."""
+def _random_bare(n: int, rng: np.random.Generator, splits: int) -> BareTree:
+    """A bare tree of up to ``splits`` random splits."""
     bare, paths, next_id = BareTree(BareLeaf(0)), {0: frozenset()}, 1
     for _ in range(splits):
         leaf_id = int(rng.choice(sorted(paths)))
@@ -116,31 +115,29 @@ def _random_bare(n: int, rng: np.random.Generator, splits: int) -> tuple[BareTre
         path = paths.pop(leaf_id) | {coord}
         paths[next_id] = paths[next_id + 1] = path
         next_id += 2
-    return bare, paths
+    return bare
 
 
-def _replay(dist, coords, rng, count):
-    """The points x of a pair draw and, per coordinate of ``coords``, the
-    redrawn bits: ``count`` codes, then ``count`` uniforms per coordinate."""
+def _replay(dist, rng, count):
+    """The points x of a pair draw and the word x ^ y of the bits their
+    redraws y flipped: two draws of ``count`` codes."""
     x = dist.draw_codes(rng, count)
-    return x, {i: rng.random(count) < dist.biases[i] for i in coords}
+    return x, x ^ dist.draw_codes(rng, count)
 
 
-def _flipped(x, redrawn):
+def _flipped(flips, n):
     """Per coordinate, the indices of the points whose redrawn bit differs."""
-    return {
-        i: np.flatnonzero(bits != ((x >> np.uint64(i)) & np.uint64(1)).astype(bool))
-        for i, bits in redrawn.items()
-    }
+    return {i: np.flatnonzero((flips & np.uint64(1 << i)) != 0) for i in range(n)}
 
 
-def _off_path_flipped(x, redrawn, bare, paths):
+def _off_path_flipped(x, flips, bare, n):
     """Per coordinate, the indices of the points whose redrawn bit differs
     and whose leaf in ``bare`` does not query the coordinate."""
+    paths = {leaf.id: restriction.coordinates() for restriction, leaf in leaf_paths(bare)}
     leaf = route_codes(bare, x)
     return {
         i: idx[[i not in paths[int(v)] for v in leaf[idx]]].astype(np.int64)
-        for i, idx in _flipped(x, redrawn).items()
+        for i, idx in _flipped(flips, n).items()
     }
 
 
@@ -150,29 +147,19 @@ def _expected_queries(flipped):
     return some, sum(map(len, flipped.values()))
 
 
-def _hits_labeling_every_pair(oracle, dist, coords, rng, count, bare):
+def _hits_labeling_every_pair(oracle, dist, rng, count, bare):
     """Reference estimator: label both endpoints of every pair of the shared
     draw, route both, and count a pair at (leaf, coordinate) when both
     endpoints reach the leaf and disagree."""
-    x, redrawn = _replay(dist, coords, rng, count)
+    x, flips = _replay(dist, rng, count)
     x_label, x_leaf = oracle.label_codes(x), route_codes(bare, x)
     hits = {}
-    for i, bits in redrawn.items():
-        alt = (x & ~np.uint64(1 << i)) | (bits.astype(np.uint64) << np.uint64(i))
+    for i in range(dist.n):
+        alt = x ^ (flips & np.uint64(1 << i))
         counted = (x_label != oracle.label_codes(alt)) & (x_leaf == route_codes(bare, alt))
         for leaf in np.unique(x_leaf[counted]):
             hits[int(leaf), i] = x[counted & (x_leaf == leaf)]
     return hits
-
-
-def _per_coordinate_pair_draw(oracle, dist, i, rng, count):
-    """The pair draw for one coordinate as the builder made it when every
-    coordinate drew its own x, kept as a reference: the codes and both
-    labels of the pairs whose redrawn bit flipped."""
-    x = dist.draw_codes(rng, count)
-    redrawn = rng.random(count) < dist.biases[i]
-    x = x[np.flatnonzero(redrawn != ((x & np.uint64(1 << i)) != 0))]
-    return x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i))
 
 
 def _estimate(batch, leaf_id, coord) -> float:
@@ -192,47 +179,24 @@ def _balanced_case(n, p, kind):
 
 
 ROOT = BareTree(BareLeaf(0))
-ROOT_PATHS = {0: frozenset()}
 CASES = [(n, "tree") for n in (1, 5, 12, 25, 64)] + [(n, "table") for n in (1, 5, 12)]
 
 
 class TestDrawPair:
     def test_endpoints_differ_at_most_at_i(self):
         # every labeled pair is (x, x with bit i flipped), coordinate by
-        # coordinate in the order given, and both labels are the oracle's
+        # coordinate in ascending order, and both labels are the oracle's
         oracle = TreeOracle(DICTATOR, 2)
-        for coords in [(0,), (1,), (0, 1), (1, 0)]:
-            rng = np.random.default_rng(list(coords))
-            ref = copy.deepcopy(rng)
-            batch = draw_pair_batch(oracle, UNIFORM2, coords, rng, 500, ROOT, ROOT_PATHS)
-            x, redrawn = _replay(UNIFORM2, coords, ref, 500)
-            flipped = [x[idx] for idx in _flipped(x, redrawn).values()]
-            assert len(batch) > 0 and batch.drawn == 500
-            assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(flipped)))
-            alt = [oracle.label_codes(f ^ np.uint64(1 << i)) for f, i in zip(flipped, coords)]
-            assert np.array_equal(batch.alt_labels, np.concatenate(alt))
-            assert rng.random() == ref.random()
-
-    @pytest.mark.parametrize("count", [0, 1, 999, 70_000])
-    @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
-    @pytest.mark.parametrize("n", [1, 5, 12, 25])
-    def test_one_coordinate_is_the_per_coordinate_draw(self, n, p, count):
-        # a batch for (i,) takes the stream positions, codes and labels of
-        # drawing coordinate i's pairs alone, and labels both endpoints of
-        # each labeled pair once; 70K points fill blocks on the draw threads
-        _, oracle, dist, _ = _balanced_case(n, p, "tree")
-        for i in sorted({0, n // 2, n - 1}):
-            ours, ref = np.random.default_rng([count, i]), np.random.default_rng([count, i])
-            counting = CountingOracle(oracle)
-            batch = draw_pair_batch(counting, dist, (i,), ours, count, ROOT, ROOT_PATHS)
-            codes, x_labels, alt_labels = _per_coordinate_pair_draw(oracle, dist, i, ref, count)
-            assert np.array_equal(batch.x_labels, x_labels)
-            assert np.array_equal(batch.alt_labels, alt_labels)
-            hits = codes[x_labels != alt_labels]
-            assert list(batch.hits) == ([(0, i)] if len(hits) else [])
-            assert np.array_equal(batch.hits.get((0, i), hits), hits)
-            assert ours.bit_generator.state == ref.bit_generator.state
-            assert counting.queries == batch.label_queries == 2 * len(batch) == 2 * len(codes)
+        rng = np.random.default_rng(0)
+        ref = copy.deepcopy(rng)
+        batch = draw_pair_batch(oracle, UNIFORM2, rng, 500, ROOT)
+        x, flips = _replay(UNIFORM2, ref, 500)
+        flipped = [x[idx] for idx in _flipped(flips, 2).values()]
+        assert len(batch) > 0 and batch.drawn == 500
+        assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(flipped)))
+        alt = [oracle.label_codes(f ^ np.uint64(1 << i)) for i, f in enumerate(flipped)]
+        assert np.array_equal(batch.alt_labels, np.concatenate(alt))
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("p", [0.5, 0.1])
     @pytest.mark.parametrize("n,kind", CASES)
@@ -243,8 +207,8 @@ class TestDrawPair:
         counting = CountingOracle(oracle)
         rng = np.random.default_rng([n, 3])
         ref = copy.deepcopy(rng)
-        batch = draw_pair_batch(counting, dist, range(n), rng, 3000, ROOT, ROOT_PATHS)
-        flipped = _flipped(*_replay(dist, range(n), ref, 3000))
+        batch = draw_pair_batch(counting, dist, rng, 3000, ROOT)
+        flipped = _flipped(_replay(dist, ref, 3000)[1], n)
         some = len(np.unique(np.concatenate(list(flipped.values()))))
         assert counting.queries == batch.label_queries == some + sum(map(len, flipped.values()))
         assert len(batch) == len(batch.alt_labels) == sum(map(len, flipped.values()))
@@ -256,48 +220,34 @@ class TestDrawPair:
         # below the root, a pair is labeled only when its flipped coordinate
         # is off the path of the leaf x reaches: each such x once, and each
         # such flipped x ^ (1 << i) once, with the oracle's labels in order
-        target, oracle, dist, rng = _balanced_case(n, p, kind)
-        bare, paths = _random_bare(n, rng, min(n - 1, 5))
-        for coords in (range(n), sorted(tree_variables(target) | {n - 1}, reverse=True)):
-            counting = CountingOracle(oracle)
-            ours = np.random.default_rng([n, 11])
-            x, redrawn = _replay(dist, coords, copy.deepcopy(ours), 3000)
-            flipped = _off_path_flipped(x, redrawn, bare, paths)
-            batch = draw_pair_batch(counting, dist, coords, ours, 3000, bare, paths)
-            some, pairs = _expected_queries(flipped)
-            assert counting.queries == batch.label_queries == some + pairs
-            assert (batch.x_queries, len(batch), batch.drawn) == (some, pairs, 3000)
-            codes = [x[flipped[i]] for i in coords]
-            assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(codes)))
-            alt = [oracle.label_codes(c ^ np.uint64(1 << i)) for c, i in zip(codes, coords)]
-            assert np.array_equal(batch.alt_labels, np.concatenate(alt))
-            skipped = sum(map(len, _flipped(x, redrawn).values())) - pairs
-            assert skipped > 0 or len(bare.leaf_ids()) == 1
-
-    @pytest.mark.parametrize("coords", [(), (-1,), (2,), (0, 2), (0, 0), (1, 0, 1)])
-    def test_bad_coordinates_refused_before_any_draw(self, coords):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="coordinates"):
-            draw_pair_batch(TreeOracle(DICTATOR, 2), UNIFORM2, coords, rng, 100, ROOT, ROOT_PATHS)
-        assert rng.bit_generator.state == state
+        _, oracle, dist, rng = _balanced_case(n, p, kind)
+        bare = _random_bare(n, rng, min(n - 1, 5))
+        counting = CountingOracle(oracle)
+        ours = np.random.default_rng([n, 11])
+        x, flips = _replay(dist, copy.deepcopy(ours), 3000)
+        flipped = _off_path_flipped(x, flips, bare, n)
+        batch = draw_pair_batch(counting, dist, ours, 3000, bare)
+        some, pairs = _expected_queries(flipped)
+        assert counting.queries == batch.label_queries == some + pairs
+        assert (batch.x_queries, len(batch), batch.drawn) == (some, pairs, 3000)
+        codes = [x[idx] for idx in flipped.values()]
+        assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(codes)))
+        alt = [oracle.label_codes(c ^ np.uint64(1 << i)) for i, c in enumerate(codes)]
+        assert np.array_equal(batch.alt_labels, np.concatenate(alt))
+        skipped = sum(map(len, _flipped(flips, n).values())) - pairs
+        assert skipped > 0 or len(bare.leaf_ids()) == 1
 
     def test_disagreement_rate_biased(self):
-        # the redrawn bit differs from the original with probability 2 p (1-p)
-        dist = ProductDistribution([0.3, 0.5])
-        oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(
-            oracle, dist, (0,), np.random.default_rng(1), 100_000, ROOT, ROOT_PATHS
-        )
-        assert abs(len(batch) / batch.drawn - 0.42) < 0.01
+        # each redrawn bit differs from the original with probability
+        # 2 p_i (1 - p_i), and at the root every such pair is labeled
+        oracle, dist = TreeOracle(DICTATOR, 2), ProductDistribution([0.3, 0.5])
+        batch = draw_pair_batch(oracle, dist, np.random.default_rng(1), 100_000, ROOT)
+        assert abs(len(batch) / batch.drawn - (0.42 + 0.5)) < 0.01
 
     def test_disagreement_rate_uniform(self):
-        dist = ProductDistribution([0.5, 0.5])
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(
-            oracle, dist, (0,), np.random.default_rng(2), 100_000, ROOT, ROOT_PATHS
-        )
-        assert abs(len(batch) / batch.drawn - 0.5) < 0.01
+        batch = draw_pair_batch(oracle, UNIFORM2, np.random.default_rng(2), 100_000, ROOT)
+        assert abs(len(batch) / batch.drawn - (0.5 + 0.5)) < 0.01
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
     @pytest.mark.parametrize("n,kind", CASES)
@@ -305,70 +255,54 @@ class TestDrawPair:
         # labeling only the flipped pairs and routing only the disagreeing
         # x leaves the hit arrays and the random stream exactly as labeling
         # and routing both endpoints of every pair of the same shared draw
-        target, oracle, dist, rng = _balanced_case(n, p, kind)
-        bare, paths = _random_bare(n, rng, min(n - 1, 3))
-        some = sorted(tree_variables(target) | {0, n - 1}, reverse=True)
-        total_hits = 0
-        for coords in (range(n), some):
-            ours, ref = np.random.default_rng([7, n]), np.random.default_rng([7, n])
-            hits = draw_pair_batch(oracle, dist, coords, ours, 3000, bare, paths).hits
-            expected = _hits_labeling_every_pair(oracle, dist, coords, ref, 3000, bare)
-            assert sorted(hits) == sorted(expected)
-            for key, codes in expected.items():
-                assert np.array_equal(hits[key], codes)
-            assert ours.random() == ref.random()
-            total_hits += sum(map(len, hits.values()))
-        assert total_hits > 0
+        _, oracle, dist, rng = _balanced_case(n, p, kind)
+        bare = _random_bare(n, rng, min(n - 1, 3))
+        ours, ref = np.random.default_rng([7, n]), np.random.default_rng([7, n])
+        hits = draw_pair_batch(oracle, dist, ours, 3000, bare).hits
+        expected = _hits_labeling_every_pair(oracle, dist, ref, 3000, bare)
+        assert sorted(hits) == sorted(expected)
+        for key, codes in expected.items():
+            assert np.array_equal(hits[key], codes)
+        assert ours.random() == ref.random()
+        assert sum(map(len, hits.values())) > 0
 
 
 class TestScoreEstimate:
     def test_all_labels_agree_gives_zero(self):
         oracle = TreeOracle(DecisionTree(Leaf(1)), 2)
-        batch = draw_pair_batch(
-            oracle, UNIFORM2, (0, 1), np.random.default_rng(8), 8, ROOT, ROOT_PATHS
-        )
+        batch = draw_pair_batch(oracle, UNIFORM2, np.random.default_rng(8), 8, ROOT)
         assert len(batch) > 0 and np.array_equal(batch.x_labels, batch.alt_labels)
         assert batch.hits == {}
         assert _estimate(batch, 0, 0) == 0.0
 
     def test_root_only_tree_counts_disagreements(self):
         oracle = TreeOracle(DICTATOR, 2)
-        batch = draw_pair_batch(
-            oracle, UNIFORM2, (0, 1), np.random.default_rng(3), 4000, ROOT, ROOT_PATHS
-        )
+        batch = draw_pair_batch(oracle, UNIFORM2, np.random.default_rng(3), 4000, ROOT)
         disagree = int(np.count_nonzero(batch.x_labels != batch.alt_labels))
         assert disagree > 0
         assert _estimate(batch, 0, 0) == pytest.approx(disagree / 4000)
         assert _estimate(batch, 0, 1) == 0.0
 
     def test_unbiased_for_dictator_root(self):
-        # mean over 200 fresh pools of 1000 pairs within 3 standard errors
-        # of 1/2, drawn for coordinate 0 alone and shared with coordinate 1
+        # mean over 200 fresh pools of 1000 pairs within 3 standard errors of 1/2
         oracle = TreeOracle(DICTATOR, 2)
-        for coords in [(0,), (1, 0)]:
-            rng = np.random.default_rng(4)
-            batches = [
-                draw_pair_batch(oracle, UNIFORM2, coords, rng, 1000, ROOT, ROOT_PATHS)
-                for _ in range(200)
-            ]
-            estimates = [_estimate(batch, 0, 0) for batch in batches]
-            stderr = np.std(estimates, ddof=1) / math.sqrt(200)
-            assert abs(np.mean(estimates) - 0.5) <= 3 * stderr
+        rng = np.random.default_rng(4)
+        batches = [draw_pair_batch(oracle, UNIFORM2, rng, 1000, ROOT) for _ in range(200)]
+        estimates = [_estimate(batch, 0, 0) for batch in batches]
+        stderr = np.std(estimates, ddof=1) / math.sqrt(200)
+        assert abs(np.mean(estimates) - 0.5) <= 3 * stderr
 
     def test_pair_crossing_a_split_never_fires(self):
         # pairs redrawn on the split coordinate reach opposite children and
         # cannot contribute to either child's estimate, so none is labeled;
         # at the root the same stream labels disagreeing pairs
         bare = split_leaf(ROOT, 0, 0, 1, 2)
-        oracle = CountingOracle(TreeOracle(DICTATOR, 2))
-        at_root = draw_pair_batch(
-            oracle, UNIFORM2, (0,), np.random.default_rng(5), 5000, ROOT, ROOT_PATHS
-        )
+        dist = ProductDistribution([0.5])
+        oracle = CountingOracle(TreeOracle(DICTATOR, 1))
+        at_root = draw_pair_batch(oracle, dist, np.random.default_rng(5), 5000, ROOT)
         assert np.any(at_root.x_labels != at_root.alt_labels) and at_root.hits
         oracle.queries = 0
-        batch = draw_pair_batch(
-            oracle, UNIFORM2, (0,), np.random.default_rng(5), 5000, bare, {1: {0}, 2: {0}}
-        )
+        batch = draw_pair_batch(oracle, dist, np.random.default_rng(5), 5000, bare)
         assert batch.hits == {}
         assert len(batch) == batch.x_queries == oracle.queries == 0
 
@@ -379,10 +313,10 @@ class TestScoreEstimate:
         oracle = TreeOracle(DICTATOR, 2)
         rng = np.random.default_rng(6)
         ref = copy.deepcopy(rng)
-        hits = draw_pair_batch(oracle, UNIFORM2, (0, 1), rng, 5000, bare, {1: {1}, 2: {1}}).hits
+        hits = draw_pair_batch(oracle, UNIFORM2, rng, 5000, bare).hits
         assert sorted(hits) == [(1, 0), (2, 0)]
-        x, redrawn = _replay(UNIFORM2, (0, 1), ref, 5000)
-        flipped = x[_flipped(x, redrawn)[0]]
+        x, flips = _replay(UNIFORM2, ref, 5000)
+        flipped = x[_flipped(flips, 2)[0]]
         disagree = oracle.label_codes(flipped) != oracle.label_codes(flipped ^ np.uint64(1))
         for (leaf, _), codes in hits.items():
             assert np.all(route_codes(bare, codes) == leaf)
@@ -428,12 +362,12 @@ class TestPracticalBuilder:
         # such flipped x ^ (1 << i)
         labeled, flips = [], []
 
-        def recording(oracle, dist, coords, rng, count, bare, paths):
-            x, redrawn = _replay(dist, coords, copy.deepcopy(rng), count)
-            some, pairs = _expected_queries(_off_path_flipped(x, redrawn, bare, paths))
+        def recording(oracle, dist, rng, count, bare):
+            x, flipped = _replay(dist, copy.deepcopy(rng), count)
+            some, pairs = _expected_queries(_off_path_flipped(x, flipped, bare, dist.n))
             flips.append(pairs)
             labeled.append(some + pairs)
-            return draw_pair_batch(oracle, dist, coords, rng, count, bare, paths)
+            return draw_pair_batch(oracle, dist, rng, count, bare)
 
         monkeypatch.setattr(sampling, "draw_pair_batch", recording)
         for p in (0.5, 0.1):
@@ -573,7 +507,7 @@ class TestPoolsEqualRoutingFromScratch:
             seed, sampling._PAIR_STREAM, lambda j: pair_schedule(j, delta, eps, n), split.step
         )
         for r, count in draws:
-            expected = _hits_labeling_every_pair(oracle, dist, range(n), r, count, bare)
+            expected = _hits_labeling_every_pair(oracle, dist, r, count, bare)
             for key, codes in expected.items():
                 hits[key] += len(codes)
         estimates = {

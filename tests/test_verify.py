@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from greedytree import verify
 from greedytree.core import (
     DecisionTree,
     Internal,
@@ -18,6 +19,7 @@ from greedytree.core import (
     parse_tree,
 )
 from greedytree.greedy import build_topdown_exact
+from greedytree.sampling import draw_pair_batch
 from greedytree.verify import (
     IDENTITY_TOL,
     CheckReport,
@@ -177,6 +179,28 @@ class TestScoreBounds:
         report = check_score_lower_bounds(inst, result, inst.target_tree)
         assert report.passed, report.detail
 
+    def test_cost_floor_on_gated_extreme_bias_targets(self):
+        # x_a ? (x_b ? +1 : -1) : +1 is -1 only where x_a = 1 and x_b = 0;
+        # its root score over the cost floor is 2 max(1-a, b)(1+a)/(1-a+b),
+        # which tends to 1 as a -> 0 and b -> 1
+        rng = np.random.default_rng(2024)
+        extremes = [0.01, 0.03, 0.1, 0.5, 0.9, 0.97, 0.99]
+        for _ in range(1000):
+            n = int(rng.integers(2, 16))
+            ga, gb = (int(v) for v in rng.choice(n, 2, replace=False))
+            a, b = (float(v) for v in rng.choice(extremes, 2))
+            biases = rng.uniform(0.01, 0.99, n)
+            biases[ga], biases[gb] = a, b
+            tree = DecisionTree(Internal(ga, Leaf(1), Internal(gb, Leaf(-1), Leaf(1))))
+            inst = Instance(0, "tree", ProductDistribution(biases), TreeOracle(tree, n), tree)
+            result = build_topdown_exact(tree, inst.dist, epsilon=1e-5)
+            report = check_score_lower_bounds(inst, result, tree)
+            assert report.passed, report.detail
+            root = result.steps[0]
+            floor = root.cost_before / (max_depth(tree) * average_depth(tree, inst.dist))
+            ratio = 2 * max(1 - a, b) * (1 + a) / (1 - a + b)
+            assert root.score / floor == pytest.approx(ratio, rel=0, abs=1e-12)
+
 
 class TestSizeBound:
     def test_dictator(self):
@@ -258,6 +282,20 @@ class TestEstimatorUnbiasedness:
             inst = generate_instance(550 + k, max_n=4)
             report = check_estimator_unbiasedness(inst, resamples=60, pair_count=400, seed=k)
             assert report.passed, report.detail
+
+    def test_one_pair_draw_per_resample(self, monkeypatch):
+        # every resample is one builder-shaped call pairing every coordinate
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return draw_pair_batch(*args)
+
+        monkeypatch.setattr(verify, "draw_pair_batch", counting)
+        inst = _dictator_instance(0.3, n=3)
+        report = check_estimator_unbiasedness(inst, resamples=30, pair_count=100, seed=0)
+        assert report.passed and not report.detail.startswith("retry")
+        assert len(calls) == 30
 
     def test_constant_target_exact_zero(self):
         tree = DecisionTree(Leaf(1))
