@@ -162,6 +162,13 @@ def _hits_labeling_every_pair(oracle, dist, rng, count, bare):
     return hits
 
 
+def _per_coordinate_pair_draw(oracle, x, flips, i):
+    """Coordinate i's pair draw on the points x: the codes whose redrawn
+    bit i flipped, and the labels of each and of it with bit i flipped."""
+    x = x[np.flatnonzero((flips & np.uint64(1 << i)) != 0)]
+    return x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i))
+
+
 def _estimate(batch, leaf_id, coord) -> float:
     return len(batch.hits.get((leaf_id, coord), ())) / batch.drawn
 
@@ -197,6 +204,34 @@ class TestDrawPair:
         alt = [oracle.label_codes(f ^ np.uint64(1 << i)) for i, f in enumerate(flipped)]
         assert np.array_equal(batch.alt_labels, np.concatenate(alt))
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("count", [0, 1, 999, 70_000])
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
+    @pytest.mark.parametrize("n", [1, 5, 12, 25])
+    def test_one_coordinate_is_the_per_coordinate_draw(self, n, p, count):
+        # coordinate i's slice of the shared batch is coordinate i's pair
+        # draw on the same x: the x whose redrawn bit i flipped and both
+        # their labels, and the hits at (root, i) are those that disagree;
+        # 70K points fill blocks on the draw threads
+        _, oracle, dist, _ = _balanced_case(n, p, "tree")
+        ours = np.random.default_rng([count, n])
+        ref = copy.deepcopy(ours)
+        counting = CountingOracle(oracle)
+        batch = draw_pair_batch(counting, dist, ours, count, ROOT)
+        x, flips = _replay(dist, ref, count)
+        start = 0
+        for i in range(n):
+            codes, x_labels, alt_labels = _per_coordinate_pair_draw(oracle, x, flips, i)
+            stop = start + len(codes)
+            assert np.array_equal(batch.x_labels[start:stop], x_labels)
+            assert np.array_equal(batch.alt_labels[start:stop], alt_labels)
+            hits = codes[x_labels != alt_labels]
+            assert ((0, i) in batch.hits) == (len(hits) > 0)
+            assert np.array_equal(batch.hits.get((0, i), hits), hits)
+            start = stop
+        assert start == len(batch) and batch.drawn == count
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert counting.queries == batch.label_queries == batch.x_queries + len(batch)
 
     @pytest.mark.parametrize("p", [0.5, 0.1])
     @pytest.mark.parametrize("n,kind", CASES)
