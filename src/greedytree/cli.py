@@ -33,7 +33,7 @@ from .core import (
     serialize_tree,
     size,
 )
-from .exact import DEFAULT_MAX_FREE_COORDS, EnumerationLimitError, tree_error
+from .exact import EnumerationLimitError, tree_error
 from .experiments import (
     ExperimentConfig,
     run_experiment,
@@ -158,14 +158,14 @@ def _cmd_build(args) -> int:
         raise ValueError("--usage-out applies to --mode practical only")
     dist = parse_distribution(Path(args.dist).read_text(encoding="utf-8"))
     target = _load_labeled_tree(args.target, dist.n)
+    oracle = TreeOracle(target, dist.n)
     epsilon = args.epsilon / 2.0 if args.halve_epsilon else args.epsilon
     if args.mode == "exact":
-        result = build_topdown_exact(target, dist, epsilon, max_splits=args.max_splits)
+        result = build_topdown_exact(oracle, dist, epsilon, max_splits=args.max_splits)
         step_type = GreedyStep
     else:
         result = build_topdown_practical(
-            TreeOracle(target, dist.n), dist, epsilon, args.delta,
-            seed=args.seed, max_splits=args.max_splits,
+            oracle, dist, epsilon, args.delta, seed=args.seed, max_splits=args.max_splits
         )
         step_type = PracticalStep
         if args.usage_out:
@@ -179,9 +179,10 @@ def _cmd_build(args) -> int:
         write_csv(args.trace_out, [f.name for f in fields(step_type)], map(astuple, result.steps))
     if args.out:
         Path(args.out).write_text(serialize_tree(result.tree) + "\n", encoding="utf-8")
-    err = ""
-    if dist.n <= DEFAULT_MAX_FREE_COORDS:
-        err = f" exact_error={tree_error(result.tree, TreeOracle(target, dist.n), dist)!r}"
+    try:
+        err = f" exact_error={tree_error(result.tree, oracle, dist)!r}"
+    except EnumerationLimitError:
+        err = ""
     print(
         f"build[{args.mode}]: size={size(result.tree)} terminated={result.terminated}"
         f" epsilon={epsilon!r}{err}"

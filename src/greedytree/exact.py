@@ -58,8 +58,10 @@ entries than the root enumeration.  Table targets always enumerate.
 :func:`f_completion` and :func:`tree_error` always enumerate: they are the
 reference the verification suite and the tests compare against.
 
-Both paths refuse restrictions with more than ``DEFAULT_MAX_FREE_COORDS``
-free coordinates; callers may raise the cap explicitly.  At the cap one
+The cap is this module's: on both paths a restriction with more than
+``MAX_FREE_COORDS`` free coordinates is refused with an
+:class:`EnumerationLimitError` before a point is labeled or an enumeration
+allocated, and no caller sets another cap.  At the cap one
 :func:`subfunction_summary` call labels 2^24 points (a depth-6 balanced
 target), which took about 1.2-1.5 s, against 1.6-1.7 s on one thread, and
 390 MB of peak memory on a 2-vCPU machine (numpy 2.4).
@@ -85,7 +87,7 @@ from .core import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_FREE_COORDS",
+    "MAX_FREE_COORDS",
     "EnumerationLimitError",
     "LeafInfo",
     "SubfunctionView",
@@ -99,7 +101,7 @@ __all__ = [
     "tree_error",
 ]
 
-DEFAULT_MAX_FREE_COORDS = 24
+MAX_FREE_COORDS = 24
 
 
 class EnumerationLimitError(RuntimeError):
@@ -131,10 +133,10 @@ class SubfunctionView:
         return [i for i in range(self.n) if i not in fixed]
 
 
-def _check_budget(m: int, max_free: int) -> None:
-    if m > max_free:
+def _check_budget(m: int) -> None:
+    if m > MAX_FREE_COORDS:
         raise EnumerationLimitError(
-            f"{m} free coordinates exceeds the enumeration cap of {max_free}"
+            f"{m} free coordinates exceeds the enumeration cap of {MAX_FREE_COORDS}"
         )
 
 
@@ -152,12 +154,12 @@ def _check_dimensions(oracle: TargetOracle, dist: ProductDistribution) -> None:
         raise ValueError(f"oracle has n={oracle.n}, distribution has n={dist.n}")
 
 
-def _codes(view: SubfunctionView, dist: ProductDistribution, max_free: int) -> np.ndarray:
+def _codes(view: SubfunctionView, dist: ProductDistribution) -> np.ndarray:
     """Code of every assignment of the free coordinates, in enumeration order:
     bit t of the index is free coordinate ``view.free_coords()[t]``."""
     _check_dimensions(view.oracle, dist)
     free = view.free_coords()
-    _check_budget(len(free), max_free)
+    _check_budget(len(free))
     codes = np.full(1, view.restriction.base_code(), dtype=np.uint64)
     for i in free:
         codes = np.concatenate([codes, codes | np.uint64(1 << i)])
@@ -245,18 +247,14 @@ def _summarize(
     return SubfunctionSummary(mu_plus, infl, flip, labels, frozenset(relevant_here))
 
 
-def subfunction_summary(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> SubfunctionSummary:
+def subfunction_summary(view: SubfunctionView, dist: ProductDistribution) -> SubfunctionSummary:
     """Positive mass plus all coordinate influences from one enumeration.
 
     Restricted coordinates are fixed, so their influence is exactly 0 and no
     work is spent on them.
     """
     # The codes are dropped before the weights are built, which lowers peak memory.
-    labels = view.oracle.label_codes(_codes(view, dist, max_free))
+    labels = view.oracle.label_codes(_codes(view, dist))
     free = view.free_coords()
     return _summarize(dist, free, labels, _weights(dist, free))
 
@@ -311,13 +309,9 @@ def _pair_summary(
     )
 
 
-def positive_mass(
-    view: SubfunctionView,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
+def positive_mass(view: SubfunctionView, dist: ProductDistribution) -> float:
     """Conditional probability that the subfunction equals +1."""
-    labels = view.oracle.label_codes(_codes(view, dist, max_free))
+    labels = view.oracle.label_codes(_codes(view, dist))
     return float(np.sum(_weights(dist, view.free_coords())[labels > 0]))
 
 
@@ -340,17 +334,13 @@ class LeafInfo:
     restriction: Restriction
     reach: float
     mu_plus: float
+    error_mass: float  # reach * min(mu_plus, 1 - mu_plus), clamped at 0
     leaf_cost: float  # reach * total influence
     score: float  # reach * largest influence
     coord: int  # coordinate of the largest influence; -1 with none free
     labels: np.ndarray | None = field(repr=False, compare=False)
     relevant: frozenset[int] = field(repr=False, compare=False)
     leaves: CompiledLeaves | None = field(repr=False, compare=False)
-
-    @property
-    def error_mass(self) -> float:
-        # mu_plus of an all-+1 region can round just above 1
-        return self.reach * max(0.0, min(self.mu_plus, 1.0 - self.mu_plus))
 
 
 def _leaf(
@@ -362,10 +352,13 @@ def _leaf(
         score = reach * float(summary.influences[best])
     else:
         best, score = -1, 0.0
+    mu = summary.positive_mass
     return LeafInfo(
         restriction=restriction,
         reach=reach,
-        mu_plus=summary.positive_mass,
+        mu_plus=mu,
+        # mu of an all-+1 region can round just above 1
+        error_mass=reach * max(0.0, min(mu, 1.0 - mu)),
         leaf_cost=reach * summary.total_influence,
         score=score,
         coord=best,
@@ -376,10 +369,7 @@ def _leaf(
 
 
 def leaf_info(
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    restriction: Restriction,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
+    oracle: TargetOracle, dist: ProductDistribution, restriction: Restriction
 ) -> LeafInfo:
     """Reach, positive mass, cost and score of the leaf at ``restriction``,
     over leaf pairs or by enumeration as the target decides (see the module
@@ -388,12 +378,12 @@ def leaf_info(
     _check_dimensions(oracle, dist)
     view = SubfunctionView(oracle, restriction)
     free = view.free_coords()
-    _check_budget(len(free), max_free)
+    _check_budget(len(free))
     leaves = oracle.compiled_leaves()
     if _pairs_fit(leaves, oracle.n):
         summary = _pair_summary(dist, restriction, leaves)
     else:
-        summary = subfunction_summary(view, dist, max_free)
+        summary = subfunction_summary(view, dist)
     return _leaf(dist, restriction, free, summary)
 
 
@@ -426,12 +416,7 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     )
 
 
-def cost(
-    bare: BareTree,
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
+def cost(bare: BareTree, oracle: TargetOracle, dist: ProductDistribution) -> float:
     """Sum over leaves of reach probability times total influence, by
     enumeration.
 
@@ -440,17 +425,12 @@ def cost(
     """
     return sum(
         dist.reach_probability(restriction)
-        * subfunction_summary(SubfunctionView(oracle, restriction), dist, max_free).total_influence
+        * subfunction_summary(SubfunctionView(oracle, restriction), dist).total_influence
         for restriction, _ in leaf_paths(bare)
     )
 
 
-def f_completion(
-    bare: BareTree,
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> DecisionTree:
+def f_completion(bare: BareTree, oracle: TargetOracle, dist: ProductDistribution) -> DecisionTree:
     """Label every leaf with the target's conditional majority; exact ties
     resolve to +1.
 
@@ -459,19 +439,14 @@ def f_completion(
     """
     labels: dict[int, int] = {}
     for restriction, leaf in leaf_paths(bare):
-        mu = positive_mass(SubfunctionView(oracle, restriction), dist, max_free)
+        mu = positive_mass(SubfunctionView(oracle, restriction), dist)
         labels[leaf.id] = 1 if mu >= 0.5 else -1
     return label_leaves(bare, labels)
 
 
-def tree_error(
-    tree: DecisionTree,
-    oracle: TargetOracle,
-    dist: ProductDistribution,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
-) -> float:
+def tree_error(tree: DecisionTree, oracle: TargetOracle, dist: ProductDistribution) -> float:
     """Exact disagreement probability Pr[tree(x) != f(x)] by enumeration."""
     view = SubfunctionView(oracle)
-    codes = _codes(view, dist, max_free)
+    codes = _codes(view, dist)
     disagree = route_codes(tree, codes) != oracle.label_codes(codes)
     return float(np.sum(_weights(dist, view.free_coords())[disagree]))

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ProductDistribution, TreeOracle, size
-from .exact import DEFAULT_MAX_FREE_COORDS, tree_error
+from .exact import EnumerationLimitError, tree_error
 from .sampling import build_topdown_practical
 from .targets import generate_balanced_target, generate_path_target
 
@@ -234,9 +234,9 @@ def _execute_run(args: tuple) -> tuple[dict, float]:
             label_queries=result.label_queries,
             random_draws=result.random_draws,
         )
-        if n <= DEFAULT_MAX_FREE_COORDS:
+        try:
             row["exact_error"] = tree_error(result.tree, oracle, dist)
-        else:
+        except EnumerationLimitError:
             row["exact_error"] = ""
     except Exception as exc:  # per-run failures become rows, not aborts
         row.update(status=f"error:{type(exc).__name__}", terminated="", size="",
@@ -282,7 +282,7 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
     out = []
     for point in sorted(by_point):
         rows = by_point[point]
-        good = [r for r in rows if r["status"] in ("ok", "max_splits", "no_splittable_leaf")]
+        good = [r for r in rows if not str(r["status"]).startswith("error:")]
         base = dict(rows[0])
         agg = {k: base[k] for k in (
             "experiment", "point", "n", "epsilon", "delta", "bias",

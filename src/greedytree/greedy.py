@@ -44,7 +44,7 @@ from .core import (
     label_leaves,
     split_leaf,
 )
-from .exact import DEFAULT_MAX_FREE_COORDS, LeafInfo, leaf_info, split_children
+from .exact import LeafInfo, leaf_info, split_children
 
 # Unused here; perfbench/layers.py looks both names up on this module.
 from .exact import f_completion, subfunction_summary  # noqa: F401
@@ -103,7 +103,6 @@ def build_topdown_exact(
     dist: ProductDistribution,
     epsilon: float,
     max_splits: int | None = None,
-    max_free: int = DEFAULT_MAX_FREE_COORDS,
 ) -> GreedyResult:
     """Run the greedy heuristic with exact influences until the completion
     is an epsilon-approximation (or ``max_splits`` is exhausted, in which
@@ -123,7 +122,8 @@ def build_topdown_exact(
     if max_splits is None:
         max_splits = 1 << min(dist.n, 62)
 
-    leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction(), max_free)}
+    leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction())}
+    cost = sum(info.leaf_cost for info in leaves.values())
     bare = BareTree(BareLeaf(0))
     next_id = 1
     steps: list[GreedyStep] = []
@@ -146,13 +146,13 @@ def build_topdown_exact(
                 f"no positive-score leaf but completion error {completion_error} > {epsilon}"
             )
 
-        cost_before = sum(info.leaf_cost for info in leaves.values())
         lo_id, hi_id = next_id, next_id + 1
         next_id += 2
         bare = split_leaf(bare, best_id, best.coord, lo_id, hi_id)
         del leaves[best_id]
         leaves[lo_id], leaves[hi_id] = split_children(best, dist)
-        cost_after = sum(info.leaf_cost for info in leaves.values())
+        # also the next step's cost_before: the same sum over the same dict
+        cost_before, cost = cost, sum(info.leaf_cost for info in leaves.values())
 
         steps.append(
             GreedyStep(
@@ -162,7 +162,7 @@ def build_topdown_exact(
                 coord=best.coord,
                 score=best.score,
                 cost_before=cost_before,
-                cost_after=cost_after,
+                cost_after=cost,
                 completion_error=completion_error,
             )
         )

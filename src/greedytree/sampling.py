@@ -247,14 +247,14 @@ class _LeafState:
 
     ``pools[_LL_STREAM, label]`` and ``pools[_EE_STREAM, label]`` hold the
     leaf's labeling and stopping-test points of each label, +1 and -1.
-    ``pools[_PAIR_STREAM, i]`` holds, for each coordinate i off ``path``,
-    the x codes of the pairs that disagree at the leaf.  Every count is an
-    array length: the label is the labeling pool's majority (ties to +1),
-    the mismatches are the stopping-test points of the other label, and the
-    hit count for i is the length of the pair pool of i.
+    ``pools[_PAIR_STREAM, i]`` holds, for each coordinate i off the leaf's
+    path, the x codes of the pairs that disagree at the leaf; these keys
+    are the leaf's splittable coordinates, in ascending order.  Every count
+    is an array length: the label is the labeling pool's majority (ties to
+    +1), the mismatches are the stopping-test points of the other label,
+    and the hit count for i is the length of the pair pool of i.
     """
 
-    path: frozenset[int]
     pools: dict[tuple[int, int], np.ndarray]
 
     @property
@@ -276,13 +276,12 @@ class _LeafState:
         """The children with x_coord = 0, then 1.  Every pool is partitioned
         by the bit; the pair pool of ``coord`` is dropped, as the children
         query it."""
-        path = self.path | {coord}
         lo, hi = {}, {}
         for key, codes in self.pools.items():
             if key != (_PAIR_STREAM, coord):
                 side = _bit(codes, coord)
                 lo[key], hi[key] = codes[np.flatnonzero(~side)], codes[np.flatnonzero(side)]
-        return _LeafState(path, lo), _LeafState(path, hi)
+        return _LeafState(lo), _LeafState(hi)
 
 
 @dataclass(frozen=True)
@@ -373,7 +372,7 @@ def build_topdown_practical(
     bare = BareTree(BareLeaf(0))
     keys = [(s, label) for s in (_LL_STREAM, _EE_STREAM) for label in (1, -1)]
     keys += [(_PAIR_STREAM, i) for i in range(n)]
-    states = {0: _LeafState(frozenset(), dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
+    states = {0: _LeafState(dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
     next_id = 1
     floors = (0, 0, 0)  # per-coordinate pair, labeling and stopping-test floors
     label_queries = 0
@@ -417,10 +416,10 @@ def build_topdown_practical(
             stop_reason = "no_splittable_leaf"  # read only if no candidate exists
             # every coordinate has drawn exactly the pair floor, floors[0]
             candidates = [
-                (len(st.pools[_PAIR_STREAM, i]) / floors[0], leaf_id, i)
+                (len(codes) / floors[0], leaf_id, i)
                 for leaf_id, st in sorted(states.items())
-                for i in range(n)
-                if i not in st.path
+                for (stream, i), codes in st.pools.items()
+                if stream == _PAIR_STREAM
             ]
             # max keeps the first of equal estimates: the lowest leaf id, then coordinate
             best = max(candidates, key=lambda c: c[0], default=None)

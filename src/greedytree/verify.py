@@ -198,12 +198,17 @@ def _table_as_tree(oracle: TargetOracle) -> DecisionTree:
     return DecisionTree(nodes[0])
 
 
-def _witness(instance: Instance) -> dict[str, str]:
-    tree = instance.target_tree or _table_as_tree(instance.oracle)
-    return {
-        "target.json": serialize_tree(tree),
-        "dist.json": serialize_distribution(instance.dist),
-    }
+def _report(check: str, instance: Instance, passed: bool, detail: str) -> CheckReport:
+    """The one way to build a report: a failing one carries the instance as
+    tree and distribution files (its witness), so it replays as a test."""
+    witness = None
+    if not passed:
+        tree = instance.target_tree or _table_as_tree(instance.oracle)
+        witness = {
+            "target.json": serialize_tree(tree),
+            "dist.json": serialize_distribution(instance.dist),
+        }
+    return CheckReport(check, instance.seed, passed, detail, witness)
 
 
 def generate_instance(
@@ -258,10 +263,7 @@ def check_total_influence_bounds(instance: Instance) -> CheckReport:
     ok_depth = total <= avg + IDENTITY_TOL
     passed = ok_var and ok_depth
     detail = f"influence={total:.12g} depth*var={d * s.variance:.12g} avg_depth={avg:.12g}"
-    return CheckReport(
-        "total_influence_bounds", instance.seed, passed, detail,
-        None if passed else _witness(instance),
-    )
+    return _report("total_influence_bounds", instance, passed, detail)
 
 
 def check_influence_error_variance_chain(instance: Instance) -> CheckReport:
@@ -273,10 +275,7 @@ def check_influence_error_variance_chain(instance: Instance) -> CheckReport:
     ok_second = 2.0 * s.error <= s.variance + IDENTITY_TOL
     passed = ok_first and ok_second
     detail = f"max_influence={worst:.12g} 2*error={2 * s.error:.12g} variance={s.variance:.12g}"
-    return CheckReport(
-        "influence_error_variance_chain", instance.seed, passed, detail,
-        None if passed else _witness(instance),
-    )
+    return _report("influence_error_variance_chain", instance, passed, detail)
 
 
 def check_max_influence_bound(instance: Instance) -> CheckReport:
@@ -306,10 +305,7 @@ def check_max_influence_bound(instance: Instance) -> CheckReport:
         f" rerandomization_nominal={'ok' if rr_nominal_ok else 'violated'}"
         f" max_flip={max_flip:.12g} max_rr={max_rr:.12g} var/avg={s.variance / avg if avg else 0.0:.12g}"
     )
-    return CheckReport(
-        "max_influence_bound", instance.seed, passed, detail,
-        None if passed else _witness(instance),
-    )
+    return _report("max_influence_bound", instance, passed, detail)
 
 
 def dictator_normalization_probe() -> dict[str, float | bool]:
@@ -364,14 +360,11 @@ def check_error_cost_bound(instance: Instance, result: GreedyResult) -> CheckRep
         c = cost(bare, instance.oracle, instance.dist)
         worst = max(worst, err - c)
         if err > c + IDENTITY_TOL:
-            return CheckReport(
-                "error_cost_bound", instance.seed, False,
+            return _report(
+                "error_cost_bound", instance, False,
                 f"error {err:.12g} exceeds cost {c:.12g} at size {size(bare)}",
-                _witness(instance),
             )
-    return CheckReport(
-        "error_cost_bound", instance.seed, True, f"max(error-cost)={worst:.3g}", None
-    )
+    return _report("error_cost_bound", instance, True, f"max(error-cost)={worst:.3g}")
 
 
 def check_cost_telescoping(instance: Instance, result: GreedyResult) -> CheckReport:
@@ -381,27 +374,26 @@ def check_cost_telescoping(instance: Instance, result: GreedyResult) -> CheckRep
     for step, bare in zip(result.steps, prefixes[:-1]):
         recomputed = cost(bare, instance.oracle, instance.dist)
         if abs(recomputed - step.cost_before) > IDENTITY_TOL:
-            return CheckReport(
-                "cost_telescoping", instance.seed, False,
+            return _report(
+                "cost_telescoping", instance, False,
                 f"recorded cost {step.cost_before:.12g} != recomputed {recomputed:.12g}"
-                f" at step {step.step}", _witness(instance),
+                f" at step {step.step}",
             )
         if abs(step.cost_after - (step.cost_before - step.score)) > IDENTITY_TOL:
-            return CheckReport(
-                "cost_telescoping", instance.seed, False,
+            return _report(
+                "cost_telescoping", instance, False,
                 f"step {step.step}: cost_after {step.cost_after:.12g} != "
-                f"cost_before - score {step.cost_before - step.score:.12g}", _witness(instance),
+                f"cost_before - score {step.cost_before - step.score:.12g}",
             )
     if result.steps:
         total_drop = result.steps[0].cost_before - result.steps[-1].cost_after
         score_sum = sum(s.score for s in result.steps)
         if abs(total_drop - score_sum) > IDENTITY_TOL:
-            return CheckReport(
-                "cost_telescoping", instance.seed, False,
+            return _report(
+                "cost_telescoping", instance, False,
                 f"summed scores {score_sum:.12g} != total cost drop {total_drop:.12g}",
-                _witness(instance),
             )
-    return CheckReport("cost_telescoping", instance.seed, True, f"{len(result.steps)} steps", None)
+    return _report("cost_telescoping", instance, True, f"{len(result.steps)} steps")
 
 
 def check_score_lower_bounds(
@@ -429,10 +421,9 @@ def check_score_lower_bounds(
         denom = avg_opt + (j - 1) * d_opt
         error_floor = step.completion_error / denom if denom else 0.0
         if step.score < error_floor - IDENTITY_TOL:
-            return CheckReport(
-                "score_lower_bounds", instance.seed, False,
-                f"step {step.step}: score {step.score:.12g} below error floor "
-                f"{error_floor:.12g}", _witness(instance),
+            return _report(
+                "score_lower_bounds", instance, False,
+                f"step {step.step}: score {step.score:.12g} below error floor {error_floor:.12g}",
             )
         if (
             step.completion_error > eps
@@ -442,13 +433,12 @@ def check_score_lower_bounds(
             nominal_violations += 1
         floor = step.cost_before / (j * d_opt * avg_opt) if d_opt and avg_opt else 0.0
         if step.score < floor - IDENTITY_TOL:
-            return CheckReport(
-                "score_lower_bounds", instance.seed, False,
+            return _report(
+                "score_lower_bounds", instance, False,
                 f"step {step.step}: score {step.score:.12g} below cost floor {floor:.12g}",
-                _witness(instance),
             )
     detail = f"{len(result.steps)} steps, nominal_error_floor_violations={nominal_violations}"
-    return CheckReport("score_lower_bounds", instance.seed, True, detail, None)
+    return _report("score_lower_bounds", instance, True, detail)
 
 
 def _derived_split_bound_log(epsilon: float, depth: int, avg_depth: float) -> float:
@@ -492,9 +482,7 @@ def check_size_bound(
         paper_ok = True
         detail = "paper: not terminated, exempt; " + detail
     passed = paper_ok and derived_ok and cost0_ok
-    return CheckReport(
-        "size_bound", instance.seed, passed, detail, None if passed else _witness(instance)
-    )
+    return _report("size_bound", instance, passed, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +490,15 @@ def check_size_bound(
 # ---------------------------------------------------------------------------
 
 
-def _random_bare_tree(instance: Instance, rng: np.random.Generator, max_splits: int = 3) -> BareTree:
+# The Monte Carlo check's size: resamples, and pairs per resample.
+_RESAMPLES, _PAIR_COUNT = 50, 400
+
+
+def _random_bare_tree(instance: Instance, rng: np.random.Generator) -> BareTree:
+    """A bare tree of 0 to 3 random splits, each on a free coordinate."""
     bare = BareTree(BareLeaf(0))
     next_id = 1
-    for _ in range(int(rng.integers(0, max_splits + 1))):
+    for _ in range(int(rng.integers(0, 4))):
         candidates = []
         for restriction, leaf in leaf_paths(bare):
             assert isinstance(leaf, BareLeaf)
@@ -564,31 +557,27 @@ def _unbiasedness_probes(
     return ok, total, worst
 
 
-def check_estimator_unbiasedness(
-    instance: Instance,
-    resamples: int = 200,
-    pair_count: int = 1000,
-    seed: int = 0,
-) -> CheckReport:
+def check_estimator_unbiasedness(instance: Instance, seed: int = 0) -> CheckReport:
     """Monte Carlo means of the split-score estimator match exact scores.
 
-    A 3-standard-error band is a statistical test, so a clean failure is
-    retried once with a fresh stream before being reported.
+    The probes run on a random bare tree of at most 3 splits, with 50
+    resamples of 400 pairs each.  A 3-standard-error band is a statistical
+    test, so a clean failure is retried once with a fresh stream before
+    being reported.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7000, instance.seed]))
     bare = _random_bare_tree(instance, rng)
-    ok, total, worst = _unbiasedness_probes(instance, bare, resamples, pair_count, seed)
+    ok, total, worst = _unbiasedness_probes(instance, bare, _RESAMPLES, _PAIR_COUNT, seed)
     if ok == total:
-        return CheckReport(
-            "estimator_unbiasedness", instance.seed, True,
-            f"{ok}/{total} probes within 3 standard errors (worst z={worst:.2f})", None,
+        return _report(
+            "estimator_unbiasedness", instance, True,
+            f"{ok}/{total} probes within 3 standard errors (worst z={worst:.2f})",
         )
-    ok2, total2, worst2 = _unbiasedness_probes(instance, bare, resamples, pair_count, seed + 1)
+    ok2, total2, worst2 = _unbiasedness_probes(instance, bare, _RESAMPLES, _PAIR_COUNT, seed + 1)
     passed = ok2 == total2
-    return CheckReport(
-        "estimator_unbiasedness", instance.seed, passed,
+    return _report(
+        "estimator_unbiasedness", instance, passed,
         f"retry after {total - ok} flags: {ok2}/{total2} within band (worst z={worst2:.2f})",
-        None if passed else _witness(instance),
     )
 
 
@@ -597,18 +586,13 @@ def check_estimator_unbiasedness(
 # ---------------------------------------------------------------------------
 
 
-def run_property_suite(
-    seed: int,
-    count: int,
-    epsilon: float = 0.1,
-    unbiasedness_every: int = 25,
-) -> list[CheckReport]:
+def run_property_suite(seed: int, count: int) -> list[CheckReport]:
     """Run every checker over ``count`` generated instances.
 
-    Tree-shaped targets get the full set (the depth-based inequalities need
-    the target's tree); truth-table targets get the trace checks.  The
-    expensive Monte Carlo unbiasedness check runs on every
-    ``unbiasedness_every``-th instance at a reduced size.
+    Each instance's exact build runs at epsilon 0.1.  Tree-shaped targets
+    get the full set (the depth-based inequalities need the target's tree);
+    truth-table targets get the trace checks.  The expensive Monte Carlo
+    unbiasedness check runs on every 25th instance, from the first.
     """
     reports: list[CheckReport] = []
     for k in range(count):
@@ -620,15 +604,13 @@ def run_property_suite(
         result = build_topdown_exact(
             instance.target_tree if instance.target_tree is not None else instance.oracle,
             instance.dist,
-            epsilon,
+            epsilon=0.1,
         )
         reports.append(check_error_cost_bound(instance, result))
         reports.append(check_cost_telescoping(instance, result))
         if instance.target_tree is not None:
             reports.append(check_score_lower_bounds(instance, result, instance.target_tree))
             reports.append(check_size_bound(instance, result, instance.target_tree))
-        if k % unbiasedness_every == 0:
-            reports.append(
-                check_estimator_unbiasedness(instance, resamples=50, pair_count=400, seed=seed)
-            )
+        if k % 25 == 0:
+            reports.append(check_estimator_unbiasedness(instance, seed=seed))
     return reports

@@ -105,7 +105,8 @@ class TestVerify:
 
 class TestEnumerationLimit:
     """Past the exact engine's enumeration cap both exact commands refuse
-    with one error line, not a traceback."""
+    with one error line, not a traceback; a practical build or grid run
+    leaves its exact error out."""
 
     @pytest.fixture
     def wide(self, workdir: Path) -> Path:
@@ -135,6 +136,25 @@ class TestEnumerationLimit:
         assert code == 1
         self._assert_refused(capsys)
         assert not out.exists()
+
+    def test_practical_build_omits_exact_error(self, wide, capsys):
+        code = main([
+            "build", "--target", str(wide / "target.json"), "--dist", str(wide / "wide.json"),
+            "--epsilon", "0.1", "--mode", "practical",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("build[practical]: ") and "exact_error" not in out
+
+    def test_grid_run_leaves_exact_error_blank(self):
+        config = ExperimentConfig.from_dict({
+            "experiment": "single-run", "n": 25, "epsilon": 0.1, "biases": [0.5],
+            "targets": [{"family": "path"}], "seed": 3, "max_splits": 2,
+        })
+        rows, aggregates, _ = run_experiment(config)
+        assert len(rows) == 1 and rows[0]["exact_error"] == ""
+        assert not str(rows[0]["status"]).startswith("error:")
+        assert aggregates[0]["size"] == rows[0]["size"] and aggregates[0]["exact_error"] == ""
 
 
 class TestProps:
@@ -220,6 +240,19 @@ class TestRun:
         for want, got in zip(aggs, recomputed):
             for field in ("size", "exact_error", "size_std", "errors_within_eps", "runs"):
                 assert want[field] == (repr(got[field]) if isinstance(got[field], float) else str(got[field]))
+
+    def test_aggregates_every_status_but_errors(self):
+        def row(rep, status, size):
+            return {
+                "point": "p", "experiment": "single-run", "n": 3, "epsilon": 0.2, "delta": 0.1,
+                "bias": 0.5, "target_family": "path", "target_param": 3, "target_size": 4,
+                "config_sha": "", "rep": rep, "status": status, "size": size,
+                "exact_error": 0.0, "steps": 1, "label_queries": 1, "random_draws": 1,
+            }
+
+        rows = [row(0, "budget", 3), row(1, "ok", 5), row(2, "error:ValueError", "")]
+        (agg,) = aggregate_rows(rows)
+        assert (agg["size"], agg["size_std"], agg["runs"]) == (4.0, float(np.sqrt(2.0)), 3)
 
     def test_parallel_matches_serial(self, workdir):
         config = ExperimentConfig.from_dict(json.loads(self._config(workdir).read_text()))

@@ -268,7 +268,7 @@ class TestEnumeration:
             fixed = {i: int(rng.integers(2)) for i in range(n) if i not in free}
             view = SubfunctionView(TreeOracle(CONST2, n), Restriction(fixed))
             dist = ProductDistribution(rng.uniform(0.05, 0.95, n))
-            codes, weights = _codes(view, dist, 10), _weights(dist, view.free_coords())
+            codes, weights = _codes(view, dist), _weights(dist, view.free_coords())
             want_free, want_codes, want_weights = shift_enumeration(view, dist)
             assert want_free == free
             assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
@@ -434,14 +434,15 @@ class TestLeafPairs:
         assert summary.relevant == {0, 1, 2}
         assert pair_leaf(oracle, dist, Restriction({0: 1})).relevant == {1, 2}
 
-    def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self):
+    def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self, monkeypatch):
+        monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
         oracle = CountingOracle(TreeOracle(DICTATOR, 5))
         assert _pairs_fit(oracle.compiled_leaves(), 5)
         with pytest.raises(ValueError, match="oracle has n=5, distribution has n=2"):
             leaf_info(oracle, UNIFORM2, Restriction())
         with pytest.raises(EnumerationLimitError):
-            leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction(), max_free=4)
-        leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction({0: 1}), max_free=4)
+            leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction())
+        leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction({0: 1}))
         assert oracle.queries == 0
 
 
@@ -625,21 +626,25 @@ class TestTreeError:
 
 
 class TestEnumerationBudget:
+    @pytest.fixture(autouse=True)
+    def cap_of_four(self, monkeypatch):
+        monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
+
     def test_cap_enforced(self):
         oracle = generate_truth_table(5, np.random.default_rng(0))
         dist = ProductDistribution([0.5] * 5)
-        with pytest.raises(EnumerationLimitError):
-            subfunction_summary(SubfunctionView(oracle), dist, max_free=4)
+        with pytest.raises(EnumerationLimitError, match="cap of 4"):
+            subfunction_summary(SubfunctionView(oracle), dist)
 
     def test_cap_enforced_before_any_label_query(self):
         oracle = CountingOracle(generate_truth_table(5, np.random.default_rng(0)))
         dist = ProductDistribution([0.5] * 5)
         with pytest.raises(EnumerationLimitError):
-            leaf_info(oracle, dist, Restriction(), max_free=4)
+            leaf_info(oracle, dist, Restriction())
         assert oracle.queries == 0
 
     def test_cap_counts_free_coordinates_only(self):
         oracle = generate_truth_table(5, np.random.default_rng(0))
         dist = ProductDistribution([0.5] * 5)
         view = SubfunctionView(oracle, Restriction({0: 1}))
-        subfunction_summary(view, dist, max_free=4)  # 4 free coordinates: fits
+        subfunction_summary(view, dist)  # 4 free coordinates: fits

@@ -195,10 +195,11 @@ class TestLabelQueries:
         assert max(splits) >= 8
         assert paths == {(False, False), (True, False), (True, True)}
 
-    def test_enumeration_cap_raises_before_any_label_query(self):
+    def test_enumeration_cap_raises_before_any_label_query(self, monkeypatch):
+        monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
         oracle = CountingOracle(TreeOracle(DICTATOR, 5))
         with pytest.raises(EnumerationLimitError):
-            build_topdown_exact(oracle, ProductDistribution([0.5] * 5), epsilon=0.1, max_free=4)
+            build_topdown_exact(oracle, ProductDistribution([0.5] * 5), epsilon=0.1)
         assert oracle.queries == 0
 
 

@@ -463,7 +463,7 @@ class TestPracticalBuilder:
         codes = np.arange(3, dtype=np.uint64)
         pools = {(sampling._LL_STREAM, 1): codes[:2], (sampling._LL_STREAM, -1): codes[1:],
                  (sampling._EE_STREAM, 1): codes, (sampling._EE_STREAM, -1): codes[:1]}
-        leaf = sampling._LeafState(frozenset(), pools)
+        leaf = sampling._LeafState(pools)
         assert (leaf.label, leaf.mismatches, leaf.error_samples) == (1, 1, 4)
         pools[sampling._LL_STREAM, 1] = pools[sampling._LL_STREAM, -1] = codes[:0]
         assert leaf.label == 1

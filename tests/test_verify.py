@@ -36,7 +36,7 @@ from greedytree.verify import (
     generate_instance,
     run_property_suite,
     _derived_split_bound_log,
-    _witness,
+    _report,
 )
 
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
@@ -280,7 +280,7 @@ class TestEstimatorUnbiasedness:
     def test_small_random_instances(self):
         for k in (1, 2):
             inst = generate_instance(550 + k, max_n=4)
-            report = check_estimator_unbiasedness(inst, resamples=60, pair_count=400, seed=k)
+            report = check_estimator_unbiasedness(inst, seed=k)
             assert report.passed, report.detail
 
     def test_one_pair_draw_per_resample(self, monkeypatch):
@@ -293,14 +293,14 @@ class TestEstimatorUnbiasedness:
 
         monkeypatch.setattr(verify, "draw_pair_batch", counting)
         inst = _dictator_instance(0.3, n=3)
-        report = check_estimator_unbiasedness(inst, resamples=30, pair_count=100, seed=0)
+        report = check_estimator_unbiasedness(inst, seed=0)
         assert report.passed and not report.detail.startswith("retry")
-        assert len(calls) == 30
+        assert len(calls) == 50
 
     def test_constant_target_exact_zero(self):
         tree = DecisionTree(Leaf(1))
         inst = Instance(1, "tree", ProductDistribution([0.5, 0.5]), TreeOracle(tree, 2), tree)
-        report = check_estimator_unbiasedness(inst, resamples=30, pair_count=100, seed=0)
+        report = check_estimator_unbiasedness(inst, seed=0)
         assert report.passed
 
 
@@ -315,7 +315,8 @@ class TestSuite:
 
     def test_witness_documents_replay(self):
         inst = generate_instance(42)
-        docs = _witness(inst)
+        assert _report("check", inst, True, "").witness is None
+        docs = _report("check", inst, False, "").witness
         tree = parse_tree(docs["target.json"])
         dist = parse_distribution(docs["dist.json"])
         assert dist == inst.dist
