@@ -89,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", default=None, help="write the returned tree here")
     build.add_argument("--trace-out", default=None, help="write the per-step trace CSV here")
     build.add_argument(
-        "--usage-out", default=None, help="write the sample-usage CSV here (practical mode only)"
+        "--usage-out", default=None,
+        help="write the sample-usage CSV here (practical mode only); M_S is the pair floor "
+        "the pools hold, so a last row that draws no pairs repeats the previous step's, or 0",
     )
 
     verify = sub.add_parser("verify", help="exact error of a hypothesis tree")

@@ -15,6 +15,8 @@ for vectorized bulk work.
 Two walks serve every structural query: ``_leaves`` reads a tree into its
 (path, leaf) pairs, and ``_map_leaves`` rebuilds it with each leaf replaced.
 Routing has a third, ``route_groups``, read by ``route_codes`` and sampling.
+A bare tree keeps its leaves' paths by identifier, so ``split_leaf``
+rebuilds only the nodes above the leaf it splits.
 
 Large draws run on worker threads, one per CPU, in a module-private pool
 started by the first such draw.  The threads only fill disjoint slices of
@@ -29,7 +31,7 @@ import json
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -316,17 +318,23 @@ def _map_leaves(node: Node, fn: Callable[[Node], Node]) -> Node:
     return fn(node)
 
 
-def _validate(root: Node, want_bare: bool) -> None:
-    ids: set[int] = set()
-    for _, leaf in _leaves(root):
+_LeafPath = tuple[tuple[int, int], ...]
+
+
+def _validate(root: Node, want_bare: bool) -> dict[int, _LeafPath]:
+    """Check every leaf's kind and, in a bare tree, that no identifier
+    repeats; returns each bare leaf's path by its identifier."""
+    paths: dict[int, _LeafPath] = {}
+    for path, leaf in _leaves(root):
         if isinstance(leaf, BareLeaf) != want_bare:
             raise TreeFormatError(
                 "labeled leaf in a bare tree" if want_bare else "unlabeled leaf in a labeled tree"
             )
         if want_bare:
-            if leaf.id in ids:
+            if leaf.id in paths:
                 raise TreeFormatError(f"duplicate leaf identifier {leaf.id}")
-            ids.add(leaf.id)
+            paths[leaf.id] = path
+    return paths
 
 
 @dataclass(frozen=True)
@@ -341,12 +349,17 @@ class DecisionTree:
 
 @dataclass(frozen=True)
 class BareTree:
-    """Query tree with unlabeled leaves carrying unique stable identifiers."""
+    """Query tree with unlabeled leaves carrying unique stable identifiers.
+
+    ``_paths`` holds each leaf's path by its identifier, so that
+    :func:`split_leaf` finds and checks a split without walking the tree.
+    """
 
     root: Node
+    _paths: dict[int, _LeafPath] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate(self.root, want_bare=True)
+        object.__setattr__(self, "_paths", _validate(self.root, want_bare=True))
 
     def leaf_ids(self) -> list[int]:
         return [leaf.id for _, leaf in _leaves(self.root)]
@@ -398,20 +411,34 @@ def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -
 
     All other leaves keep their identifiers.  Raises if the leaf does not
     exist or the split would repeat a path variable or reuse an identifier.
+    Only the nodes on the leaf's path are rebuilt, and only the new node is
+    checked, so a split costs the leaf's depth, not the tree's size.
     """
     fresh = Internal(var, BareLeaf(lo_id), BareLeaf(hi_id))
-    replaced = []
-
-    def swap(leaf: Node) -> Node:
-        if leaf.id != leaf_id:
-            return leaf
-        replaced.append(leaf)
-        return fresh
-
-    root = _map_leaves(bare.root, swap)
-    if not replaced:
+    path = bare._paths.get(leaf_id)
+    if path is None:
         raise KeyError(f"no leaf with identifier {leaf_id}")
-    return BareTree(root)
+    if (
+        any(v == var for v, _ in path)
+        or lo_id == hi_id
+        or any(i != leaf_id and i in bare._paths for i in (lo_id, hi_id))
+    ):
+        # refused: the whole-tree check raises and names the clash
+        return BareTree(_map_leaves(bare.root, lambda leaf: fresh if leaf.id == leaf_id else leaf))
+    spine, node = [], bare.root
+    for _, bit in path:
+        spine.append((node, bit))
+        node = node.hi if bit else node.lo
+    root = fresh
+    for node, bit in reversed(spine):
+        root = Internal(node.var, node.lo, root) if bit else Internal(node.var, root, node.hi)
+    paths = dict(bare._paths)
+    del paths[leaf_id]
+    paths[lo_id], paths[hi_id] = path + ((var, 0),), path + ((var, 1),)
+    grown = object.__new__(BareTree)  # valid by the checks above
+    object.__setattr__(grown, "root", root)
+    object.__setattr__(grown, "_paths", paths)
+    return grown
 
 
 def label_leaves(bare: BareTree, labels: Mapping[int, int]) -> DecisionTree:

@@ -62,6 +62,18 @@ Termination: label every leaf by the majority of its labeling points (ties
 go to +1), count the leaf's stopping-pool points of the other label as its
 mismatches, and stop once the total mismatch fraction is at most 3/4 of the
 working accuracy.
+
+A step j runs in this order:
+
+1. top the labeling and stopping-test pools up to their step-j floors;
+2. run the stopping test, then the ``max_splits`` check;
+3. only if both fail, top the pair pools up to their step-j floor from the
+   step's pair stream, score every candidate and split the best.
+
+The builder cannot know in advance which step will be its last, so it does
+not pay for that step in advance: a step that ends the run by step 2 draws
+and labels no pair.  Every stream is keyed by (seed, purpose, step), so
+skipping that draw moves no other draw.
 """
 
 from __future__ import annotations
@@ -305,6 +317,10 @@ class UsageRow:
     ``random_draws`` counts each point drawn from a product distribution
     once: a step adds its labeling and stopping-test points and, for the
     pairs, the shared points x and the points y of their redrawn bits.
+    ``pair_floor`` is the per-coordinate pair floor the pools hold.  A step
+    that ends the run by the stopping test or ``max_splits`` draws no pair,
+    so in its row ``pair_floor`` is the previous step's floor, or 0 at
+    step 1.
     """
 
     step: int
@@ -319,7 +335,10 @@ class UsageRow:
 @dataclass(frozen=True)
 class PracticalResult:
     """The grown tree and its record; ``label_queries`` and ``random_draws``
-    are the totals of the last :class:`UsageRow`."""
+    are the totals of the last :class:`UsageRow`.  They count pairs for the
+    steps that split, and for a last step that found no splittable leaf,
+    but none for a last step that the stopping test or ``max_splits``
+    ended."""
 
     tree: DecisionTree
     bare: BareTree
@@ -374,20 +393,18 @@ def build_topdown_practical(
     keys += [(_PAIR_STREAM, i) for i in range(n)]
     states = {0: _LeafState(dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
     next_id = 1
-    floors = (0, 0, 0)  # per-coordinate pair, labeling and stopping-test floors
+    pair_floor = 0  # per coordinate; topped up only in a step that may split
+    floors = (0, 0)  # labeling and stopping-test floors
     label_queries = 0
     random_draws = 0
     steps: list[PracticalStep] = []
     usage: list[UsageRow] = []
 
     for j in itertools.count(1):
-        # Top every pool up to its step-j floor; a zero increment draws nothing.
-        new_floors = (
-            pair_schedule(j, delta, epsilon, n),
-            labeling_schedule(j, epsilon, delta),
-            error_schedule(j, epsilon, delta),
-        )
-        d_pairs, d_ll, d_ee = (new - old for new, old in zip(new_floors, floors))
+        # Top the labeling and stopping-test pools up to their step-j
+        # floors; a zero increment draws nothing.
+        new_floors = (labeling_schedule(j, epsilon, delta), error_schedule(j, epsilon, delta))
+        d_ll, d_ee = (new - old for new, old in zip(new_floors, floors))
         floors = new_floors
         for stream, count in ((_LL_STREAM, d_ll), (_EE_STREAM, d_ee)):
             codes = dist.draw_codes(_stream(seed, stream, j), count)
@@ -398,12 +415,6 @@ def build_topdown_practical(
                 side = positive[idx]
                 states[leaf.id].deposit((stream, 1), codes[idx[np.flatnonzero(side)]])
                 states[leaf.id].deposit((stream, -1), codes[idx[np.flatnonzero(~side)]])
-        batch = draw_pair_batch(oracle, dist, _stream(seed, _PAIR_STREAM, j), d_pairs, bare)
-        label_queries += batch.label_queries
-        random_draws += 2 * d_pairs  # the points x and their redrawn bits y
-        for (leaf_id, i), hits in batch.hits.items():
-            states[leaf_id].deposit((_PAIR_STREAM, i), hits)
-        usage.append(UsageRow(j, len(states), *floors, label_queries, random_draws))
 
         mismatches = sum(st.mismatches for st in states.values())
         error_samples = sum(st.error_samples for st in states.values())
@@ -413,16 +424,26 @@ def build_topdown_practical(
         elif len(states) - 1 >= max_splits:
             stop_reason = "max_splits"
         else:
+            # Only a step that may split reads the pair pools, so only it
+            # tops them up: a step that ends the run draws no pair.
+            new_floor = pair_schedule(j, delta, epsilon, n)
+            d_pairs, pair_floor = new_floor - pair_floor, new_floor
+            batch = draw_pair_batch(oracle, dist, _stream(seed, _PAIR_STREAM, j), d_pairs, bare)
+            label_queries += batch.label_queries
+            random_draws += 2 * d_pairs  # the points x and their redrawn bits y
+            for (leaf_id, i), hits in batch.hits.items():
+                states[leaf_id].deposit((_PAIR_STREAM, i), hits)
             stop_reason = "no_splittable_leaf"  # read only if no candidate exists
-            # every coordinate has drawn exactly the pair floor, floors[0]
+            # every coordinate has drawn exactly the pair floor
             candidates = [
-                (len(codes) / floors[0], leaf_id, i)
+                (len(codes) / pair_floor, leaf_id, i)
                 for leaf_id, st in sorted(states.items())
                 for (stream, i), codes in st.pools.items()
                 if stream == _PAIR_STREAM
             ]
             # max keeps the first of equal estimates: the lowest leaf id, then coordinate
             best = max(candidates, key=lambda c: c[0], default=None)
+        usage.append(UsageRow(j, len(states), pair_floor, *floors, label_queries, random_draws))
         terminated = stop_reason == "stopping_test"
         est, split_id, coord = best or (None, None, None)
         steps.append(PracticalStep(

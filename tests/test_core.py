@@ -389,6 +389,36 @@ class TestTreeInvariants:
         with pytest.raises(TreeFormatError, match="repeated"):
             split_leaf(bare, 1, 0, 2, 3)
 
+    def test_split_equals_whole_tree_rebuild(self):
+        # over random split sequences, splitting along the leaf's path gives
+        # the tree, the leaf order, the leaf paths and the refusal (missing
+        # leaf, reused identifier, repeated variable) that rebuilding and
+        # revalidating the whole tree gives
+        seen = dict.fromkeys(["split", "no leaf", "duplicate", "repeated"], 0)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 11))
+            bare = ref = BareTree(BareLeaf(0))
+            next_id = 1
+            for _ in range(80):
+                ids = bare.leaf_ids()
+                leaf_id = int(rng.choice(ids)) if rng.random() < 0.9 else next_id
+                lo_id = int(rng.choice(ids)) if rng.random() < 0.15 else next_id
+                hi_id = lo_id if rng.random() < 0.05 else next_id + 1
+                args = (leaf_id, int(rng.integers(n)), lo_id, hi_id)
+                grown, expected = (_outcome(split, tree, *args) for split, tree in
+                                   ((split_leaf, bare), (_split_by_rebuild, ref)))
+                assert grown == expected
+                if isinstance(expected, BareTree):
+                    assert grown.leaf_ids() == expected.leaf_ids()
+                    assert leaf_paths(grown) == leaf_paths(expected)
+                    assert grown._paths == BareTree(grown.root)._paths
+                    bare, ref, next_id = grown, expected, next_id + 2
+                    seen["split"] += 1
+                else:
+                    seen[next(kind for kind in seen if kind in expected[1])] += 1
+        assert min(seen.values()) >= 20, seen
+
     def test_child_that_is_not_a_node_rejected(self):
         with pytest.raises(TreeFormatError, match="not a tree node"):
             DecisionTree(Internal(0, Leaf(1), "x"))
@@ -398,6 +428,23 @@ class TestTreeInvariants:
     def test_nodes_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             DICTATOR.root.var = 1  # type: ignore[misc]
+
+
+def _split_by_rebuild(bare, leaf_id, var, lo_id, hi_id):
+    """Reference split: swap the leaf by rebuilding the whole tree, then
+    revalidate all of it."""
+    fresh = Internal(var, BareLeaf(lo_id), BareLeaf(hi_id))
+    if leaf_id not in bare.leaf_ids():
+        raise KeyError(f"no leaf with identifier {leaf_id}")
+    return BareTree(core._map_leaves(bare.root, lambda leaf: fresh if leaf.id == leaf_id else leaf))
+
+
+def _outcome(split, *args):
+    """The tree ``split(*args)`` returns, or the type and message it raises."""
+    try:
+        return split(*args)
+    except (KeyError, TreeFormatError) as err:
+        return type(err), str(err)
 
 
 class TestTreeWalks:

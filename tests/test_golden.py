@@ -5,11 +5,11 @@ CSV, the builders' step traces, the returned trees and the practical
 builder's cumulative query counts byte for byte.  A change that means to
 alter any of them must say so and re-pin the digest.
 
-Label query counts are pinned apart from everything else: the experiment
-CSV's ``label_queries`` column and the practical builds' usage CSVs have
-digests of their own.  A change that labels fewer points re-pins only
-those, and the other digests show that trees, traces and every other
-column held still.
+Sampling counts are pinned apart from everything else: the experiment
+CSV's ``label_queries`` and ``random_draws`` columns and the practical
+builds' usage CSVs have digests of their own.  A change that draws or
+labels fewer points re-pins only those, and the other digests show that
+trees, traces and every other column held still.
 """
 
 import hashlib
@@ -34,8 +34,9 @@ GRID_CONFIG = {
     "seed": 7,
     "max_splits": 64,
 }
-GRID_CSV_SHA = "a2b33648d551a3f5cd0fede0a22e7abb8c72e80797df11102fb99febfb85a8eb"
-GRID_LABEL_QUERIES_SHA = "e586f08d42e97fd02df55a8763f80f4c8b992d63ed5c8988f709e79ef81dadbf"
+GRID_CSV_SHA = "8d239a720b1c4adf2f602ff84330337f45884f22f757e283ea96d6513aafeffc"
+GRID_LABEL_QUERIES_SHA = "fe21af6f97057ec413820f8ea71635969a9156ed7db6508a66ba1738c9982f53"
+GRID_RANDOM_DRAWS_SHA = "706eec5de03932e92eade51422d57716a0e3ecfde9566ffd1a5a1bb3ceaa3f19"
 
 BUILD_BIASES = [0.5, 0.3, 0.1, 0.7, 0.5, 0.2, 0.6, 0.4]
 # tree.json then trace.csv; a practical build's usage.csv is in USAGE_SHA
@@ -46,8 +47,8 @@ BUILD_SHA = {
     ("exact", 5): "24c2fa3494ba572d824a375b65bb904f9f323ac2a04c4bb318dd0e756057ac0f",
 }
 USAGE_SHA = {
-    4: "3852c14f4f580edef644d458724bbab583f2f60e81f902e9cd130cd3435872f1",
-    5: "6f6f9cf5b00cdba7f75f3846083e5fcc865c80c9aa9b25512217e67f65dd4d1a",
+    4: "e7a8cbbca816ffd0db8e15bb056d996e1768b914973a8c364d21a02f55057e2b",
+    5: "ee771f8a4e7ed7f3d6ec701ba558365b4c600bdb237c53c31c0ef038674be40a",
 }
 
 
@@ -62,16 +63,17 @@ def _sha_bytes(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _split_column(path: Path, name: str) -> tuple[bytes, bytes]:
-    """The CSV without column ``name``, and that column alone, a cell a line.
-    A '#' comment line stays with the rest."""
+def _split_columns(path: Path, *names: str) -> tuple[bytes, ...]:
+    """The CSV without the columns ``names``, then each of those columns
+    alone, a cell a line.  A '#' comment line stays with the rest."""
     lines = path.read_text(encoding="utf-8").splitlines()
     comment = [line for line in lines[:1] if line.startswith("#")]
     rows = [line.split(",") for line in lines[len(comment):]]
-    k = rows[0].index(name)
+    ks = [rows[0].index(name) for name in names]
     assert all(len(row) == len(rows[0]) for row in rows)
-    rest = comment + [",".join(row[:k] + row[k + 1:]) for row in rows]
-    return ("\n".join(rest) + "\n").encode(), ("\n".join(row[k] for row in rows) + "\n").encode()
+    rest = comment + [",".join(c for k, c in enumerate(row) if k not in ks) for row in rows]
+    texts = ["\n".join(rest)] + ["\n".join(row[k] for row in rows) for k in ks]
+    return tuple((text + "\n").encode() for text in texts)
 
 
 def test_run_csv_digest(tmp_path):
@@ -79,9 +81,10 @@ def test_run_csv_digest(tmp_path):
     config.write_text(json.dumps(GRID_CONFIG))
     out = tmp_path / "results.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    rest, label_queries = _split_column(out, "label_queries")
+    rest, label_queries, random_draws = _split_columns(out, "label_queries", "random_draws")
     assert _sha_bytes(rest) == GRID_CSV_SHA
     assert _sha_bytes(label_queries) == GRID_LABEL_QUERIES_SHA
+    assert _sha_bytes(random_draws) == GRID_RANDOM_DRAWS_SHA
 
 
 @pytest.mark.parametrize("mode,seed", sorted(BUILD_SHA))

@@ -360,15 +360,32 @@ class TestScoreEstimate:
             assert len(codes) == np.count_nonzero(at_leaf & disagree)
 
 
+@pytest.fixture
+def pair_batches(monkeypatch) -> list[int]:
+    """The size of each pair batch the builder draws, in order."""
+    counts = []
+
+    def recording(oracle, dist, rng, count, bare):
+        counts.append(count)
+        return draw_pair_batch(oracle, dist, rng, count, bare)
+
+    monkeypatch.setattr(sampling, "draw_pair_batch", recording)
+    return counts
+
+
 class TestPracticalBuilder:
-    def test_constant_target_terminates_immediately(self):
-        oracle = TreeOracle(DecisionTree(Leaf(1)), 2)
+    def test_constant_target_terminates_immediately(self, pair_batches):
+        # the stopping test passes at step 1, before any pair is drawn
+        oracle = CountingOracle(TreeOracle(DecisionTree(Leaf(1)), 2))
         result = build_topdown_practical(oracle, UNIFORM2, 0.2, 0.1, seed=0)
         assert result.terminated
         assert size(result.tree) == 1
         assert result.tree == DecisionTree(Leaf(1))
         assert result.steps[0].mismatches == 0
         assert len(result.steps) == 1
+        points = labeling_schedule(1, 0.2, 0.1) + error_schedule(1, 0.2, 0.1)
+        assert pair_batches == [] and result.usage[0].pair_floor == 0
+        assert result.label_queries == result.random_draws == oracle.queries == points
 
     def test_dictator_recovery_across_seeds(self):
         oracle = TreeOracle(DICTATOR, 2)
@@ -391,10 +408,12 @@ class TestPracticalBuilder:
         assert a.steps == b.steps
 
     def test_label_queries_match_schedules_exactly(self, monkeypatch):
-        # draws telescope to the step-J floors, counting each drawn point
-        # once; label queries are the labeling and stopping pools, each x
-        # that flipped for some coordinate off its leaf's path, and each
-        # such flipped x ^ (1 << i)
+        # a run that the stopping test ends at step J tops the pair pools
+        # up in steps 1..J-1 only, so its draws telescope to the step-J
+        # labeling and stopping floors and the step-(J-1) pair floor,
+        # counting each drawn point once; label queries are the labeling
+        # and stopping pools, each x that flipped for some coordinate off
+        # its leaf's path, and each such flipped x ^ (1 << i)
         labeled, flips = [], []
 
         def recording(oracle, dist, rng, count, bare):
@@ -405,18 +424,38 @@ class TestPracticalBuilder:
             return draw_pair_batch(oracle, dist, rng, count, bare)
 
         monkeypatch.setattr(sampling, "draw_pair_batch", recording)
+        stops = []
         for p in (0.5, 0.1):
             labeled.clear()
             flips.clear()
             oracle = CountingOracle(TreeOracle(DICTATOR, 2))
             result = build_topdown_practical(oracle, ProductDistribution([p, p]), 0.2, 0.1, seed=3)
             j = result.steps[-1].step
+            stops.append(j)
+            assert result.stop_reason == "stopping_test"
             points = labeling_schedule(j, 0.2, 0.1) + error_schedule(j, 0.2, 0.1)
-            drawn_pairs = pair_schedule(j, 0.1, 0.2, 2)
-            assert len(labeled) == j
+            drawn_pairs = pair_schedule(j - 1, 0.1, 0.2, 2) if j > 1 else 0
+            assert len(labeled) == j - 1
+            assert result.usage[-1].pair_floor == drawn_pairs
             assert result.random_draws == result.usage[-1].random_draws == points + 2 * drawn_pairs
             assert result.label_queries == oracle.queries == points + sum(labeled)
-            assert 0 < sum(flips) < 2 * drawn_pairs
+            assert (0 < sum(flips) < 2 * drawn_pairs) == (j > 1)
+        # at p = 0.5 the root splits; at p = 0.1 the root's error 0.1 passes at once
+        assert stops[0] > 1 and stops[1] == 1
+
+    @pytest.mark.parametrize("max_splits", [0, 1, 2, 3])
+    def test_max_splits_bounds_the_pair_batches(self, pair_batches, max_splits):
+        # the step that max_splits ends draws no pair, so a run of k splits
+        # draws k batches, each the increment of the pair floor
+        target = generate_balanced_target(3, 5, np.random.default_rng(2))
+        dist = ProductDistribution([0.5] * 5)
+        result = build_topdown_practical(
+            TreeOracle(target, 5), dist, 0.05, 0.1, seed=4, max_splits=max_splits
+        )
+        assert result.stop_reason == "max_splits" and result.splits == max_splits
+        floors = [0] + [pair_schedule(j, 0.1, 0.05, 5) for j in range(1, max_splits + 1)]
+        assert pair_batches == [b - a for a, b in zip(floors, floors[1:])]
+        assert [row.pair_floor for row in result.usage] == floors[1:] + floors[-1:]
 
     def test_usage_rows_nondecreasing(self):
         oracle = TreeOracle(DICTATOR, 2)
@@ -488,24 +527,31 @@ def _redraw(seed: int, stream: int, schedule, steps: int) -> list:
     ]
 
 
+ROUTING_CASES = [
+    (5, 0.3, "random", 3, None), (6, 0.5, "balanced", 2, None), (7, 0.3, "balanced", 4, None),
+    (6, 0.3, "balanced", 3, 3), (7, 0.5, "path", 7, None),
+]
+
+
+def _routing_case(n, p, family, depth):
+    """The oracle of a random, balanced or path target, and bias p on n coordinates."""
+    rng = np.random.default_rng([n, 17])
+    if family == "random":
+        target = generate_random_tree(n, depth, rng)
+    elif family == "balanced":
+        target = generate_balanced_target(depth, n, rng)
+    else:
+        target = generate_path_target(depth, rng)
+    return TreeOracle(target, n), ProductDistribution([p] * n)
+
+
 class TestPoolsEqualRoutingFromScratch:
     """The builder's partitioned pools count what routing every sample from
     the root of the current tree counts."""
 
-    @pytest.mark.parametrize(
-        "n,p,family,depth,max_splits",
-        [(5, 0.3, "random", 3, None), (6, 0.5, "balanced", 2, None), (7, 0.3, "balanced", 4, None),
-         (6, 0.3, "balanced", 3, 3), (7, 0.5, "path", 7, None)],
-    )
+    @pytest.mark.parametrize("n,p,family,depth,max_splits", ROUTING_CASES)
     def test_final_counts_and_last_split(self, n, p, family, depth, max_splits):
-        rng = np.random.default_rng([n, 17])
-        if family == "random":
-            target = generate_random_tree(n, depth, rng)
-        elif family == "balanced":
-            target = generate_balanced_target(depth, n, rng)
-        else:
-            target = generate_path_target(depth, rng)
-        oracle, dist = TreeOracle(target, n), ProductDistribution([p] * n)
+        oracle, dist = _routing_case(n, p, family, depth)
         eps, delta, seed = 0.2, 0.1, 11
         result = build_topdown_practical(oracle, dist, eps, delta, seed=seed, max_splits=max_splits)
         last = result.steps[-1]
@@ -556,3 +602,26 @@ class TestPoolsEqualRoutingFromScratch:
         assert (split.split_leaf, split.split_coord) == min(
             key for key, estimate in estimates.items() if estimate == best
         )
+
+    @pytest.mark.parametrize("n,p,family,depth,max_splits", ROUTING_CASES)
+    def test_only_splitting_steps_draw_pairs(
+        self, monkeypatch, pair_batches, n, p, family, depth, max_splits
+    ):
+        # one pair batch per split, and the step that ends the run never
+        # asks for its pair stream
+        keys = []
+
+        def recording(seed, *key):
+            keys.append(key)
+            return stream(seed, *key)
+
+        stream = sampling._stream
+        monkeypatch.setattr(sampling, "_stream", recording)
+        oracle, dist = _routing_case(n, p, family, depth)
+        result = build_topdown_practical(oracle, dist, 0.2, 0.1, seed=11, max_splits=max_splits)
+        last = result.steps[-1].step
+        assert len(pair_batches) == result.splits == last - 1
+        assert [k for k in keys if k[0] == sampling._PAIR_STREAM] == [
+            (sampling._PAIR_STREAM, j) for j in range(1, last)
+        ]
+        assert (sampling._PAIR_STREAM, last) not in keys
