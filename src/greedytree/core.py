@@ -15,8 +15,9 @@ for vectorized bulk work.
 Two walks serve every structural query: ``_leaves`` reads a tree into its
 (path, leaf) pairs, and ``_map_leaves`` rebuilds it with each leaf replaced.
 Routing has a third, ``route_groups``, read by ``route_codes`` and sampling.
-A bare tree keeps its leaves' paths by identifier, so ``split_leaf``
-rebuilds only the nodes above the leaf it splits.
+A bare tree keeps its leaves' paths by identifier and hands out new
+leaves' identifiers, so ``split_leaf`` rebuilds only the nodes above the
+leaf it splits.
 
 Large draws run on worker threads, one per CPU, in a module-private pool
 started by the first such draw.  The threads only fill disjoint slices of
@@ -353,13 +354,17 @@ class BareTree:
 
     ``_paths`` holds each leaf's path by its identifier, so that
     :func:`split_leaf` finds and checks a split without walking the tree.
+    ``_next_id`` exceeds every identifier the tree has held; each split
+    takes the next two.
     """
 
     root: Node
     _paths: dict[int, _LeafPath] = field(init=False, repr=False, compare=False)
+    _next_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_paths", _validate(self.root, want_bare=True))
+        object.__setattr__(self, "_next_id", max(self._paths) + 1)
 
     def leaf_ids(self) -> list[int]:
         return [leaf.id for _, leaf in _leaves(self.root)]
@@ -406,30 +411,27 @@ def tree_variables(tree: Tree) -> frozenset[int]:
     return frozenset(v for path, _ in _leaves(tree.root) for v, _ in path)
 
 
-def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -> BareTree:
-    """Replace leaf ``leaf_id`` with a query on ``var`` and two fresh leaves.
+def split_leaf(bare: BareTree, leaf_id: int, var: int) -> tuple[BareTree, int, int]:
+    """Replace leaf ``leaf_id`` with a query on ``var`` and two fresh leaves;
+    returns the grown tree and the new leaves' identifiers, for bit 0 then 1.
 
-    All other leaves keep their identifiers.  Raises if the leaf does not
-    exist or the split would repeat a path variable or reuse an identifier.
-    Only the nodes on the leaf's path are rebuilt, and only the new node is
-    checked, so a split costs the leaf's depth, not the tree's size.
+    The new identifiers are the next two above every identifier the tree
+    has held, and all other leaves keep theirs.  Raises if the leaf does
+    not exist or the split would repeat a path variable.  Only the nodes on
+    the leaf's path are rebuilt, and only the new node is checked, so a
+    split costs the leaf's depth, not the tree's size.
     """
-    fresh = Internal(var, BareLeaf(lo_id), BareLeaf(hi_id))
     path = bare._paths.get(leaf_id)
     if path is None:
         raise KeyError(f"no leaf with identifier {leaf_id}")
-    if (
-        any(v == var for v, _ in path)
-        or lo_id == hi_id
-        or any(i != leaf_id and i in bare._paths for i in (lo_id, hi_id))
-    ):
-        # refused: the whole-tree check raises and names the clash
-        return BareTree(_map_leaves(bare.root, lambda leaf: fresh if leaf.id == leaf_id else leaf))
+    if any(v == var for v, _ in path):
+        raise TreeFormatError(f"variable {var} repeated on a path")
+    lo_id, hi_id = bare._next_id, bare._next_id + 1
     spine, node = [], bare.root
     for _, bit in path:
         spine.append((node, bit))
         node = node.hi if bit else node.lo
-    root = fresh
+    root = Internal(var, BareLeaf(lo_id), BareLeaf(hi_id))
     for node, bit in reversed(spine):
         root = Internal(node.var, node.lo, root) if bit else Internal(node.var, root, node.hi)
     paths = dict(bare._paths)
@@ -438,7 +440,8 @@ def split_leaf(bare: BareTree, leaf_id: int, var: int, lo_id: int, hi_id: int) -
     grown = object.__new__(BareTree)  # valid by the checks above
     object.__setattr__(grown, "root", root)
     object.__setattr__(grown, "_paths", paths)
-    return grown
+    object.__setattr__(grown, "_next_id", hi_id + 1)
+    return grown, lo_id, hi_id
 
 
 def label_leaves(bare: BareTree, labels: Mapping[int, int]) -> DecisionTree:

@@ -93,6 +93,12 @@ class TargetSpec:
         return generate_path_target(self.param(n), rng)
 
 
+# The keys ``to_dict`` writes, and a target's; ``from_dict`` refuses any other.
+_CONFIG_KEYS = {"experiment", "n", "epsilon", "delta", "biases", "targets", "repetitions",
+                "seed", "halve_epsilon", "max_splits", "count"}
+_TARGET_KEYS = {"family", "depth", "length"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -126,6 +132,10 @@ class ExperimentConfig:
             raise ValueError(f"max_splits must be >= 0, got {self.max_splits}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
+        axes = {"n": self.n, "epsilon": self.epsilons,
+                "biases": self.biases, "targets": self.targets}
+        if self.experiment != "properties" and not all(axes.values()):
+            raise ValueError(f"empty grid axes {[k for k, v in axes.items() if not v]}")
         for n in self.n:
             for t in self.targets:
                 if t.family == "balanced" and t.param(n) > n:
@@ -138,17 +148,17 @@ class ExperimentConfig:
         def as_tuple(v):
             return tuple(v) if isinstance(v, (list, tuple)) else (v,)
 
-        targets = tuple(
-            TargetSpec(t["family"], t.get("depth"), t.get("length"))
-            for t in obj.get("targets", [])
-        )
+        targets = obj.get("targets", [])
+        for doc, known in [(obj, _CONFIG_KEYS), *((t, _TARGET_KEYS) for t in targets)]:
+            if not set(doc) <= known:
+                raise ValueError(f"unknown config keys {sorted(set(doc) - known)}")
         return ExperimentConfig(
             experiment=obj["experiment"],
             n=tuple(int(v) for v in as_tuple(obj.get("n", ()))),
             epsilons=tuple(float(v) for v in as_tuple(obj.get("epsilon", ()))),
             delta=float(obj.get("delta", 0.1)),
             biases=tuple(float(v) for v in as_tuple(obj.get("biases", ()))),
-            targets=targets,
+            targets=tuple(TargetSpec(**t) for t in targets),
             repetitions=int(obj.get("repetitions", 1)),
             seed=int(obj.get("seed", 0)),
             halve_epsilon=bool(obj.get("halve_epsilon", False)),

@@ -125,7 +125,6 @@ def build_topdown_exact(
     leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction())}
     cost = sum(info.leaf_cost for info in leaves.values())
     bare = BareTree(BareLeaf(0))
-    next_id = 1
     steps: list[GreedyStep] = []
 
     while True:
@@ -146,11 +145,8 @@ def build_topdown_exact(
                 f"no positive-score leaf but completion error {completion_error} > {epsilon}"
             )
 
-        lo_id, hi_id = next_id, next_id + 1
-        next_id += 2
-        bare = split_leaf(bare, best_id, best.coord, lo_id, hi_id)
-        del leaves[best_id]
-        leaves[lo_id], leaves[hi_id] = split_children(best, dist)
+        bare, lo_id, hi_id = split_leaf(bare, best_id, best.coord)
+        leaves[lo_id], leaves[hi_id] = split_children(leaves.pop(best_id), dist)
         # also the next step's cost_before: the same sum over the same dict
         cost_before, cost = cost, sum(info.leaf_cost for info in leaves.values())
 

@@ -90,7 +90,6 @@ from .core import (
     DecisionTree,
     ProductDistribution,
     TargetOracle,
-    _leaves,
     label_leaves,
     route_codes,  # unused here; perfbench/layers.py looks it up on this module
     route_groups,
@@ -216,10 +215,10 @@ def draw_pair_batch(
     x = dist.draw_codes(rng, count)
     flips = x ^ dist.draw_codes(rng, count)
     groups = list(route_groups(bare, x))
-    paths = {leaf.id: sum(1 << v for v, _ in path) for path, leaf in _leaves(bare.root)}
     for leaf, idx in groups:
-        if paths[leaf.id]:
-            flips[idx] &= ~np.uint64(paths[leaf.id])
+        path = bare._paths[leaf.id]
+        if path:
+            flips[idx] &= ~np.uint64(sum(1 << v for v, _ in path))
     # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
     # about 2.5x as long as flatnonzero followed by the integer gather, and
     # flatnonzero of a uint64 word about 6x as long as of its test != 0.
@@ -276,10 +275,6 @@ class _LeafState:
     @property
     def mismatches(self) -> int:
         return len(self.pools[_EE_STREAM, -self.label])
-
-    @property
-    def error_samples(self) -> int:
-        return len(self.pools[_EE_STREAM, 1]) + len(self.pools[_EE_STREAM, -1])
 
     def deposit(self, key: tuple[int, int], codes: np.ndarray) -> None:
         self.pools[key] = np.concatenate([self.pools[key], codes])
@@ -392,7 +387,6 @@ def build_topdown_practical(
     keys = [(s, label) for s in (_LL_STREAM, _EE_STREAM) for label in (1, -1)]
     keys += [(_PAIR_STREAM, i) for i in range(n)]
     states = {0: _LeafState(dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
-    next_id = 1
     pair_floor = 0  # per coordinate; topped up only in a step that may split
     floors = (0, 0)  # labeling and stopping-test floors
     label_queries = 0
@@ -416,10 +410,10 @@ def build_topdown_practical(
                 states[leaf.id].deposit((stream, 1), codes[idx[np.flatnonzero(side)]])
                 states[leaf.id].deposit((stream, -1), codes[idx[np.flatnonzero(~side)]])
 
+        # each stopping-test point sits at exactly one leaf: floors[1] in all
         mismatches = sum(st.mismatches for st in states.values())
-        error_samples = sum(st.error_samples for st in states.values())
         best = None
-        if mismatches <= 0.75 * epsilon * error_samples:
+        if mismatches <= 0.75 * epsilon * floors[1]:
             stop_reason = "stopping_test"
         elif len(states) - 1 >= max_splits:
             stop_reason = "max_splits"
@@ -447,13 +441,12 @@ def build_topdown_practical(
         terminated = stop_reason == "stopping_test"
         est, split_id, coord = best or (None, None, None)
         steps.append(PracticalStep(
-            j, len(states), mismatches, error_samples, terminated, split_id, coord, est
+            j, len(states), mismatches, floors[1], terminated, split_id, coord, est
         ))
         if best is None:
             break
-        bare = split_leaf(bare, split_id, coord, next_id, next_id + 1)
-        states[next_id], states[next_id + 1] = states.pop(split_id).split(coord)
-        next_id += 2
+        bare, lo_id, hi_id = split_leaf(bare, split_id, coord)
+        states[lo_id], states[hi_id] = states.pop(split_id).split(coord)
 
     return PracticalResult(
         tree=label_leaves(bare, {leaf_id: st.label for leaf_id, st in states.items()}),

@@ -340,11 +340,9 @@ def dictator_normalization_probe() -> dict[str, float | bool]:
 def _replay_prefixes(result: GreedyResult):
     """Bare trees before each recorded split, ending with the final tree."""
     bare = BareTree(BareLeaf(0))
-    next_id = 1
     yield bare
     for step in result.steps:
-        bare = split_leaf(bare, step.leaf_id, step.coord, next_id, next_id + 1)
-        next_id += 2
+        bare = split_leaf(bare, step.leaf_id, step.coord)[0]
         yield bare
 
 
@@ -497,7 +495,6 @@ _RESAMPLES, _PAIR_COUNT = 50, 400
 def _random_bare_tree(instance: Instance, rng: np.random.Generator) -> BareTree:
     """A bare tree of 0 to 3 random splits, each on a free coordinate."""
     bare = BareTree(BareLeaf(0))
-    next_id = 1
     for _ in range(int(rng.integers(0, 4))):
         candidates = []
         for restriction, leaf in leaf_paths(bare):
@@ -508,8 +505,7 @@ def _random_bare_tree(instance: Instance, rng: np.random.Generator) -> BareTree:
         if not candidates:
             break
         leaf_id, free = candidates[int(rng.integers(len(candidates)))]
-        bare = split_leaf(bare, leaf_id, int(rng.choice(free)), next_id, next_id + 1)
-        next_id += 2
+        bare = split_leaf(bare, leaf_id, int(rng.choice(free)))[0]
     return bare
 
 

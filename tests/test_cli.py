@@ -205,6 +205,12 @@ class TestRun:
         p.write_text(json.dumps(cfg))
         return p
 
+    def test_config_round_trips_and_properties_need_no_grid(self, workdir):
+        config = ExperimentConfig.from_dict(json.loads(self._config(workdir).read_text()))
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        props = ExperimentConfig.from_dict({"experiment": "properties", "count": 2})
+        assert ExperimentConfig.from_dict(props.to_dict()) == props
+
     def test_writes_results_and_timing(self, workdir, capsys):
         cfg = self._config(workdir)
         out = workdir / "results.csv"
@@ -328,6 +334,33 @@ class TestUsageErrors:
         assert not (tmp_path / "o.csv").exists()
         with pytest.raises(ValueError, match="count"):
             ExperimentConfig.from_dict({"experiment": "properties", "count": -1})
+
+    @pytest.mark.parametrize("change,name", [
+        ({"epsilons": [0.1, 0.2]}, "epsilons"),
+        ({"targets": [{"family": "path", "lenght": 3}]}, "lenght"),
+    ])
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, change, name):
+        # a misspelled key used to be ignored: a 0-run CSV, or a target of
+        # the default length
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({
+            "experiment": "single-run", "n": 3, "epsilon": 0.2, "biases": [0.5],
+            "targets": [{"family": "path"}], **change,
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert repr(name) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["n", "epsilon", "biases", "targets"])
+    def test_empty_grid_axis_refused(self, tmp_path, capsys, axis):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({
+            "experiment": "single-run", "n": 3, "epsilon": 0.2, "biases": [0.5],
+            "targets": [{"family": "path"}], axis: [],
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert repr(axis) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

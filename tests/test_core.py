@@ -374,27 +374,36 @@ class TestTreeInvariants:
 
     def test_split_preserves_other_ids(self):
         bare = BareTree(Internal(0, BareLeaf(0), BareLeaf(1)))
-        grown = split_leaf(bare, 1, 1, 2, 3)
+        grown, lo_id, hi_id = split_leaf(bare, 1, 1)
+        assert (lo_id, hi_id) == (2, 3)
         assert sorted(grown.leaf_ids()) == [0, 2, 3]
         assert size(grown) == size(bare) + 1
 
     def test_split_missing_leaf(self):
         with pytest.raises(KeyError):
-            split_leaf(BareTree(BareLeaf(0)), 5, 0, 1, 2)
+            split_leaf(BareTree(BareLeaf(0)), 5, 0)
 
-    def test_split_rejects_reused_id_and_repeated_variable(self):
+    def test_split_rejects_repeated_variable(self):
         bare = BareTree(Internal(0, BareLeaf(0), BareLeaf(1)))
-        with pytest.raises(TreeFormatError, match="duplicate leaf identifier 0"):
-            split_leaf(bare, 1, 1, 0, 2)
-        with pytest.raises(TreeFormatError, match="repeated"):
-            split_leaf(bare, 1, 0, 2, 3)
+        with pytest.raises(TreeFormatError, match="variable 0 repeated on a path"):
+            split_leaf(bare, 1, 0)
+
+    def test_split_ids_above_every_id_held(self):
+        # a parsed tree's new leaves start one past its largest identifier,
+        # and a split leaf's identifier is not handed out again
+        bare = parse_tree('{"var":0,"lo":{"leaf":null,"id":7},"hi":{"leaf":null,"id":3}}')
+        grown, lo_id, hi_id = split_leaf(bare, 3, 1)
+        assert (lo_id, hi_id) == (8, 9)
+        grown, lo_id, hi_id = split_leaf(grown, 9, 2)
+        assert (lo_id, hi_id) == (10, 11)
+        assert grown.leaf_ids() == [7, 8, 10, 11]
 
     def test_split_equals_whole_tree_rebuild(self):
         # over random split sequences, splitting along the leaf's path gives
-        # the tree, the leaf order, the leaf paths and the refusal (missing
-        # leaf, reused identifier, repeated variable) that rebuilding and
+        # the fresh identifiers, the tree, the leaf order, the leaf paths and
+        # the refusal (missing leaf, repeated variable) that rebuilding and
         # revalidating the whole tree gives
-        seen = dict.fromkeys(["split", "no leaf", "duplicate", "repeated"], 0)
+        seen = dict.fromkeys(["split", "no leaf", "repeated"], 0)
         for seed in range(30):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 11))
@@ -403,19 +412,19 @@ class TestTreeInvariants:
             for _ in range(80):
                 ids = bare.leaf_ids()
                 leaf_id = int(rng.choice(ids)) if rng.random() < 0.9 else next_id
-                lo_id = int(rng.choice(ids)) if rng.random() < 0.15 else next_id
-                hi_id = lo_id if rng.random() < 0.05 else next_id + 1
-                args = (leaf_id, int(rng.integers(n)), lo_id, hi_id)
-                grown, expected = (_outcome(split, tree, *args) for split, tree in
-                                   ((split_leaf, bare), (_split_by_rebuild, ref)))
-                assert grown == expected
+                args = (leaf_id, int(rng.integers(n)))
+                grown = _outcome(split_leaf, bare, *args)
+                expected = _outcome(_split_by_rebuild, ref, *args, next_id, next_id + 1)
                 if isinstance(expected, BareTree):
+                    assert grown == (expected, next_id, next_id + 1)
+                    grown = grown[0]
                     assert grown.leaf_ids() == expected.leaf_ids()
                     assert leaf_paths(grown) == leaf_paths(expected)
                     assert grown._paths == BareTree(grown.root)._paths
                     bare, ref, next_id = grown, expected, next_id + 2
                     seen["split"] += 1
                 else:
+                    assert grown == expected
                     seen[next(kind for kind in seen if kind in expected[1])] += 1
         assert min(seen.values()) >= 20, seen
 
@@ -472,7 +481,7 @@ class TestTreeWalks:
             "size": lambda: size(target),
             "DecisionTree": lambda: DecisionTree(target.root),
             "BareTree": lambda: BareTree(bare.root),
-            "split_leaf": lambda: split_leaf(bare, 2, 2, 3, 4),
+            "split_leaf": lambda: split_leaf(bare, 2, 2),
             "label_leaves": lambda: label_leaves(bare, labels),
             "parse_tree": lambda: parse_tree(doc),
             "TreeOracle": lambda: TreeOracle(target, 6),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedytree import sampling
+from greedytree import core, sampling
 from greedytree.core import (
     BareLeaf,
     BareTree,
@@ -104,17 +104,15 @@ class TestSchedules:
 
 def _random_bare(n: int, rng: np.random.Generator, splits: int) -> BareTree:
     """A bare tree of up to ``splits`` random splits."""
-    bare, paths, next_id = BareTree(BareLeaf(0)), {0: frozenset()}, 1
+    bare, paths = BareTree(BareLeaf(0)), {0: frozenset()}
     for _ in range(splits):
         leaf_id = int(rng.choice(sorted(paths)))
         free = [i for i in range(n) if i not in paths[leaf_id]]
         if not free:
             continue
         coord = int(rng.choice(free))
-        bare = split_leaf(bare, leaf_id, coord, next_id, next_id + 1)
-        path = paths.pop(leaf_id) | {coord}
-        paths[next_id] = paths[next_id + 1] = path
-        next_id += 2
+        bare, lo_id, hi_id = split_leaf(bare, leaf_id, coord)
+        paths[lo_id] = paths[hi_id] = paths.pop(leaf_id) | {coord}
     return bare
 
 
@@ -301,6 +299,24 @@ class TestDrawPair:
         assert ours.random() == ref.random()
         assert sum(map(len, hits.values())) > 0
 
+    def test_no_whole_tree_walk(self, monkeypatch):
+        # the leaves' path masks come from the bare tree's own paths: with
+        # every whole-tree walk made to raise, the draw gives the same hits
+        _, oracle, dist, rng = _balanced_case(12, 0.3, "tree")
+        bare = _random_bare(12, rng, 8)
+        assert len(bare.leaf_ids()) > 4
+        expected = draw_pair_batch(oracle, dist, np.random.default_rng(9), 3000, bare).hits
+
+        def walk(root):
+            raise AssertionError("whole-tree walk in a pair draw")
+
+        monkeypatch.setattr(core, "_leaves", walk)
+        monkeypatch.setattr(sampling, "_leaves", walk, raising=False)
+        hits = draw_pair_batch(oracle, dist, np.random.default_rng(9), 3000, bare).hits
+        assert sorted(hits) == sorted(expected) and len(hits) > 0
+        for key, codes in expected.items():
+            assert np.array_equal(hits[key], codes)
+
 
 class TestScoreEstimate:
     def test_all_labels_agree_gives_zero(self):
@@ -331,7 +347,7 @@ class TestScoreEstimate:
         # pairs redrawn on the split coordinate reach opposite children and
         # cannot contribute to either child's estimate, so none is labeled;
         # at the root the same stream labels disagreeing pairs
-        bare = split_leaf(ROOT, 0, 0, 1, 2)
+        bare = split_leaf(ROOT, 0, 0)[0]
         dist = ProductDistribution([0.5])
         oracle = CountingOracle(TreeOracle(DICTATOR, 1))
         at_root = draw_pair_batch(oracle, dist, np.random.default_rng(5), 5000, ROOT)
@@ -344,7 +360,7 @@ class TestScoreEstimate:
     def test_off_path_coordinate_routes_with_x(self):
         # when the redrawn coordinate is not queried, x reaches the leaf
         # iff the redrawn point does: both-reach reduces to x-reach
-        bare = split_leaf(ROOT, 0, 1, 1, 2)
+        bare = split_leaf(ROOT, 0, 1)[0]
         oracle = TreeOracle(DICTATOR, 2)
         rng = np.random.default_rng(6)
         ref = copy.deepcopy(rng)
@@ -503,7 +519,7 @@ class TestPracticalBuilder:
         pools = {(sampling._LL_STREAM, 1): codes[:2], (sampling._LL_STREAM, -1): codes[1:],
                  (sampling._EE_STREAM, 1): codes, (sampling._EE_STREAM, -1): codes[:1]}
         leaf = sampling._LeafState(pools)
-        assert (leaf.label, leaf.mismatches, leaf.error_samples) == (1, 1, 4)
+        assert (leaf.label, leaf.mismatches) == (1, 1)
         pools[sampling._LL_STREAM, 1] = pools[sampling._LL_STREAM, -1] = codes[:0]
         assert leaf.label == 1
         pools[sampling._LL_STREAM, -1] = codes[:1]
@@ -571,16 +587,17 @@ class TestPoolsEqualRoutingFromScratch:
         assert result.tree == label_leaves(result.bare, labels)
         ee = points(sampling._EE_STREAM, error_schedule)
         assert last.error_samples == len(ee)
+        for step, row in zip(result.steps, result.usage, strict=True):
+            assert step.error_samples == row.error_floor == error_schedule(step.step, eps, delta)
         assert last.mismatches == np.count_nonzero(
             route_codes(result.tree, ee) != oracle.label_codes(ee)
         )
 
         # the last split, scored again on the tree replayed to that step
         split = [s for s in result.steps if s.split_leaf is not None][-1]
-        bare, next_id = BareTree(BareLeaf(0)), 1
+        bare = BareTree(BareLeaf(0))
         for s in result.steps[: split.step - 1]:
-            bare = split_leaf(bare, s.split_leaf, s.split_coord, next_id, next_id + 1)
-            next_id += 2
+            bare = split_leaf(bare, s.split_leaf, s.split_coord)[0]
         paths = {leaf.id: restriction.coordinates() for restriction, leaf in leaf_paths(bare)}
         drawn = pair_schedule(split.step, delta, eps, n)
         hits = dict.fromkeys(((leaf_id, i) for leaf_id in paths for i in range(n)), 0)
