@@ -418,8 +418,10 @@ def split_leaf(bare: BareTree, leaf_id: int, var: int) -> tuple[BareTree, int, i
     The new identifiers are the next two above every identifier the tree
     has held, and all other leaves keep theirs.  Raises if the leaf does
     not exist or the split would repeat a path variable.  Only the nodes on
-    the leaf's path are rebuilt, and only the new node is checked, so a
-    split costs the leaf's depth, not the tree's size.
+    the leaf's path are rebuilt, and only the new node is checked, so the
+    rebuild costs the leaf's depth.  The grown tree's path table is a copy
+    of ``bare._paths`` with one entry per leaf, so a split also costs the
+    tree's leaf count in dictionary entries.
     """
     path = bare._paths.get(leaf_id)
     if path is None:
@@ -687,7 +689,7 @@ def _node_from_obj(obj: object) -> Node:
             if set(obj) != {"leaf", "id"} or type(obj["id"]) is not int:  # not bool
                 raise TreeFormatError("bare leaf must be {'leaf': null, 'id': <int>}")
             return BareLeaf(obj["id"])
-        if set(obj) != {"leaf"} or obj["leaf"] not in (-1, 1):
+        if set(obj) != {"leaf"} or type(obj["leaf"]) is not int or obj["leaf"] not in (-1, 1):
             raise TreeFormatError("labeled leaf must be {'leaf': 1} or {'leaf': -1}")
         return Leaf(obj["leaf"])
     raise TreeFormatError(f"node object needs 'var' or 'leaf', got keys {sorted(obj)}")
@@ -728,5 +730,5 @@ def parse_distribution(text: str) -> ProductDistribution:
         raise TreeFormatError("distribution document must be {'biases': [...]}")
     try:
         return ProductDistribution(obj["biases"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a bias that is no number, or out of range
         raise TreeFormatError(str(exc)) from exc

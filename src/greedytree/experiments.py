@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,22 +93,47 @@ class TargetSpec:
         return generate_path_target(self.param(n), rng)
 
 
-# The keys ``to_dict`` writes, and a target's; ``from_dict`` refuses any other.
-_CONFIG_KEYS = {"experiment", "n", "epsilon", "delta", "biases", "targets", "repetitions",
-                "seed", "halve_epsilon", "max_splits", "count"}
-_TARGET_KEYS = {"family", "depth", "length"}
+def _tuple_of(convert):
+    """A grid axis: a list of values, or one value standing for a list of one."""
+    return lambda v: tuple(map(convert, v if isinstance(v, (list, tuple)) else [v]))
+
+
+def _from_doc(cls, doc, table, what: str):
+    """``cls`` from the JSON object ``doc`` through ``table``, its (document
+    key, field, converter) triples.  A null stays None where that is the
+    field's default.  Each refusal is a ValueError naming its key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {key for key, _, _ in table}
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, field, convert in table:
+        if key in doc:
+            try:
+                none = doc[key] is None and defaults[field] is None
+                kwargs[field] = None if none else convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{what} key {key!r}: {exc}") from exc
+        elif defaults[field] is MISSING:
+            raise ValueError(f"{what} key {key!r} is missing")
+    return cls(**kwargs)
+
+
+_TARGET_TABLE = (("family", "family", str), ("depth", "depth", int), ("length", "length", int))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    n: tuple[int, ...]
-    epsilons: tuple[float, ...]
-    delta: float
-    biases: tuple[float, ...]
-    targets: tuple[TargetSpec, ...]
-    repetitions: int
-    seed: int
+    n: tuple[int, ...] = ()
+    epsilons: tuple[float, ...] = ()
+    delta: float = 0.1
+    biases: tuple[float, ...] = ()
+    targets: tuple[TargetSpec, ...] = ()
+    repetitions: int = 1
+    seed: int = 0
     halve_epsilon: bool = False
     max_splits: int | None = None
     count: int = 200  # property-suite instances (experiment == "properties")
@@ -132,56 +157,26 @@ class ExperimentConfig:
             raise ValueError(f"max_splits must be >= 0, got {self.max_splits}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
-        axes = {"n": self.n, "epsilon": self.epsilons,
-                "biases": self.biases, "targets": self.targets}
-        if self.experiment != "properties" and not all(axes.values()):
-            raise ValueError(f"empty grid axes {[k for k, v in axes.items() if not v]}")
+        empty = [key for key, field, _ in _CONFIG_TABLE if getattr(self, field) == ()]
+        if self.experiment != "properties" and empty:  # the grid axes default to ()
+            raise ValueError(f"empty grid axes {empty}")
         for n in self.n:
             for t in self.targets:
-                if t.family == "balanced" and t.param(n) > n:
-                    raise ValueError(f"balanced depth {t.param(n)} exceeds n={n}")
-                if t.family == "path" and t.param(n) > n:
-                    raise ValueError(f"path length {t.param(n)} exceeds n={n}")
+                if t.param(n) > n:
+                    raise ValueError(f"{t.family} target parameter {t.param(n)} exceeds n={n}")
+        points = [_point_label(*point) for point in self.grid()]
+        repeated = sorted({p for p in points if points.count(p) > 1})
+        if repeated:
+            raise ValueError(f"grid points repeat: {repeated}")
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
-        def as_tuple(v):
-            return tuple(v) if isinstance(v, (list, tuple)) else (v,)
-
-        targets = obj.get("targets", [])
-        for doc, known in [(obj, _CONFIG_KEYS), *((t, _TARGET_KEYS) for t in targets)]:
-            if not set(doc) <= known:
-                raise ValueError(f"unknown config keys {sorted(set(doc) - known)}")
-        return ExperimentConfig(
-            experiment=obj["experiment"],
-            n=tuple(int(v) for v in as_tuple(obj.get("n", ()))),
-            epsilons=tuple(float(v) for v in as_tuple(obj.get("epsilon", ()))),
-            delta=float(obj.get("delta", 0.1)),
-            biases=tuple(float(v) for v in as_tuple(obj.get("biases", ()))),
-            targets=tuple(TargetSpec(**t) for t in targets),
-            repetitions=int(obj.get("repetitions", 1)),
-            seed=int(obj.get("seed", 0)),
-            halve_epsilon=bool(obj.get("halve_epsilon", False)),
-            max_splits=None if obj.get("max_splits") is None else int(obj["max_splits"]),
-            count=int(obj.get("count", 200)),
-        )
+        return _from_doc(ExperimentConfig, obj, _CONFIG_TABLE, "config")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "n": list(self.n),
-            "epsilon": list(self.epsilons),
-            "delta": self.delta,
-            "biases": list(self.biases),
-            "targets": [
-                {"family": t.family, "depth": t.depth, "length": t.length} for t in self.targets
-            ],
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "halve_epsilon": self.halve_epsilon,
-            "max_splits": self.max_splits,
-            "count": self.count,
-        }
+        doc = asdict(self)  # targets become objects; the axes become lists below
+        return {key: list(doc[f]) if isinstance(doc[f], tuple) else doc[f]
+                for key, f, _ in _CONFIG_TABLE}
 
     def sha(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -195,6 +190,23 @@ class ExperimentConfig:
             for bias in self.biases
             for target in self.targets
         ]
+
+
+# The config's keys: ``from_dict`` reads these and no other, ``to_dict`` writes all.
+_CONFIG_TABLE = (
+    ("experiment", "experiment", str),
+    ("n", "n", _tuple_of(int)),
+    ("epsilon", "epsilons", _tuple_of(float)),
+    ("delta", "delta", float),
+    ("biases", "biases", _tuple_of(float)),
+    ("targets", "targets", lambda v: tuple(_from_doc(TargetSpec, t, _TARGET_TABLE, "target")
+                                           for t in v)),  # a list of objects, never one
+    ("repetitions", "repetitions", int),
+    ("seed", "seed", int),
+    ("halve_epsilon", "halve_epsilon", bool),
+    ("max_splits", "max_splits", int),
+    ("count", "count", int),
+)
 
 
 def _derived_seed(*key: int) -> int:

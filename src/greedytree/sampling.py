@@ -87,6 +87,7 @@ import numpy as np
 from .core import (
     BareLeaf,
     BareTree,
+    CountingOracle,
     DecisionTree,
     ProductDistribution,
     TargetOracle,
@@ -164,7 +165,7 @@ def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """The labeled pairs of one shared draw of ``drawn`` points x, and their hits.
+    """The labeled pairs of one shared draw of points x, and their hits.
 
     Each x is paired, for every coordinate i, with x' equal to x except
     that bit i is redrawn.  A pair is labeled only when its redrawn bit came
@@ -173,23 +174,17 @@ class PairBatch:
     ``alt_labels`` hold the labels of x and x', one entry per labeled pair,
     coordinate by coordinate in ascending order, and ``len`` counts the
     labeled pairs.  ``hits[leaf, i]`` holds, in draw order, the x at
-    ``leaf`` whose pair for i disagrees; a key with no hit is left out.  The
-    oracle labeled ``x_queries`` points x, each x with a labeled pair once,
-    and one x' per labeled pair.  Estimates divide by ``drawn``.
+    ``leaf`` whose pair for i disagrees; a key with no hit is left out.
+    Estimates divide by the number of points drawn, the caller's ``count``;
+    the oracle counts the label queries.
     """
 
     x_labels: np.ndarray
     alt_labels: np.ndarray
     hits: dict[tuple[int, int], np.ndarray]
-    x_queries: int
-    drawn: int
 
     def __len__(self) -> int:
         return len(self.x_labels)
-
-    @property
-    def label_queries(self) -> int:
-        return self.x_queries + len(self)
 
 
 def draw_pair_batch(
@@ -240,7 +235,7 @@ def draw_pair_batch(
         present = int(np.bitwise_or.reduce(words))
         for i in (i for i in range(present.bit_length()) if present >> i & 1):
             hits[leaf.id, i] = x[idx[np.flatnonzero((words & np.uint64(1 << i)) != 0)]]
-    return PairBatch(np.concatenate(x_labels), np.concatenate(alt_labels), hits, len(some), count)
+    return PairBatch(np.concatenate(x_labels), np.concatenate(alt_labels), hits)
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +304,13 @@ class PracticalStep:
 class UsageRow:
     """Cumulative sampling effort after the pools were topped up for step j.
 
-    ``random_draws`` counts each point drawn from a product distribution
-    once: a step adds its labeling and stopping-test points and, for the
-    pairs, the shared points x and the points y of their redrawn bits.
-    ``pair_floor`` is the per-coordinate pair floor the pools hold.  A step
-    that ends the run by the stopping test or ``max_splits`` draws no pair,
-    so in its row ``pair_floor`` is the previous step's floor, or 0 at
-    step 1.
+    The floors are those the pools hold, ``pair_floor`` per coordinate.  A
+    step that ends the run by the stopping test or ``max_splits`` draws no
+    pair, so in its row ``pair_floor`` is the previous step's floor, or 0 at
+    step 1.  ``label_queries`` is the builder's :class:`CountingOracle`
+    count.  ``random_draws`` counts each point drawn once:
+    ``labeling_floor + error_floor + 2 * pair_floor``, a pair being one
+    point x and one point y of redrawn bits.
     """
 
     step: int
@@ -330,10 +325,10 @@ class UsageRow:
 @dataclass(frozen=True)
 class PracticalResult:
     """The grown tree and its record; ``label_queries`` and ``random_draws``
-    are the totals of the last :class:`UsageRow`.  They count pairs for the
-    steps that split, and for a last step that found no splittable leaf,
-    but none for a last step that the stopping test or ``max_splits``
-    ended."""
+    are the totals of the last :class:`UsageRow`: the builder's oracle
+    wrapper's count, and the floors' draws.  They count pairs for the steps
+    that split, and for a last step that found no splittable leaf, but none
+    for a last step that the stopping test or ``max_splits`` ended."""
 
     tree: DecisionTree
     bare: BareTree
@@ -389,8 +384,7 @@ def build_topdown_practical(
     states = {0: _LeafState(dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
     pair_floor = 0  # per coordinate; topped up only in a step that may split
     floors = (0, 0)  # labeling and stopping-test floors
-    label_queries = 0
-    random_draws = 0
+    oracle = CountingOracle(oracle)  # owns every label-query count reported
     steps: list[PracticalStep] = []
     usage: list[UsageRow] = []
 
@@ -403,8 +397,6 @@ def build_topdown_practical(
         for stream, count in ((_LL_STREAM, d_ll), (_EE_STREAM, d_ee)):
             codes = dist.draw_codes(_stream(seed, stream, j), count)
             positive = oracle.label_codes(codes) > 0
-            label_queries += count
-            random_draws += count
             for leaf, idx in route_groups(bare, codes):
                 side = positive[idx]
                 states[leaf.id].deposit((stream, 1), codes[idx[np.flatnonzero(side)]])
@@ -423,8 +415,6 @@ def build_topdown_practical(
             new_floor = pair_schedule(j, delta, epsilon, n)
             d_pairs, pair_floor = new_floor - pair_floor, new_floor
             batch = draw_pair_batch(oracle, dist, _stream(seed, _PAIR_STREAM, j), d_pairs, bare)
-            label_queries += batch.label_queries
-            random_draws += 2 * d_pairs  # the points x and their redrawn bits y
             for (leaf_id, i), hits in batch.hits.items():
                 states[leaf_id].deposit((_PAIR_STREAM, i), hits)
             stop_reason = "no_splittable_leaf"  # read only if no candidate exists
@@ -437,7 +427,8 @@ def build_topdown_practical(
             ]
             # max keeps the first of equal estimates: the lowest leaf id, then coordinate
             best = max(candidates, key=lambda c: c[0], default=None)
-        usage.append(UsageRow(j, len(states), pair_floor, *floors, label_queries, random_draws))
+        usage.append(UsageRow(j, len(states), pair_floor, *floors, oracle.queries,
+                              sum(floors) + 2 * pair_floor))
         terminated = stop_reason == "stopping_test"
         est, split_id, coord = best or (None, None, None)
         steps.append(PracticalStep(
@@ -455,8 +446,8 @@ def build_topdown_practical(
         usage=tuple(usage),
         terminated=terminated,
         stop_reason=stop_reason,
-        label_queries=label_queries,
-        random_draws=random_draws,
+        label_queries=oracle.queries,
+        random_draws=usage[-1].random_draws,
         epsilon=epsilon,
         delta=delta,
         seed=seed,

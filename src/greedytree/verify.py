@@ -60,11 +60,12 @@ checker therefore counts nominal-floor violations without failing on them.
 
 Cost floor.  :func:`check_score_lower_bounds` also asserts
 score >= cost / (j * D * Delta).  This is an observed, checked conjecture,
-not a theorem: it held at every one of 3,626 searched steps, with ratio
-exactly 1 at some (dictators), and every property-suite run checks it
-again.  The chain above proves only the weaker
-score >= cost / (2 * D * (Delta + (j - 1) * D)): in the re-randomization
-form the total influence of f_l is at most D * Var(f_l), so
+not a theorem.  A seeded search of 86,691 exact builds (526,251 steps;
+n = 4 to 15; random and gated targets; biases down to 0.01; eps down to
+0.001) found no violation, with ratio exactly 1 at biased dictators, and
+every property-suite run checks it again.  The chain above proves only
+the weaker score >= cost / (2 * D * (Delta + (j - 1) * D)): in the
+re-randomization form the total influence of f_l is at most D * Var(f_l), so
 cost = sum_l P(l) * TotInf(f_l) <= D * sum_l P(l) * Var(f_l), and step 1
 bounds each non-constant leaf's P(l) * Var(f_l) by 2 * Delta_l * score.
 

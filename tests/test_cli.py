@@ -28,6 +28,14 @@ from greedytree.experiments import (
 from greedytree.verify import CheckReport
 
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
+GRID = {"experiment": "single-run", "n": 3, "epsilon": 0.2, "biases": [0.5],
+        "targets": [{"family": "path"}]}
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return err
 
 
 @pytest.fixture
@@ -361,6 +369,42 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert repr(axis) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc,named", [
+        ({k: v for k, v in GRID.items() if k != "experiment"}, "'experiment' is missing"),
+        ([GRID], "config must be a JSON object"),
+        ({**GRID, "n": [None]}, "'n'"),
+        ({**GRID, "targets": [{"length": 3}]}, "'family' is missing"),
+        ({**GRID, "targets": ["path"]}, "target must be a JSON object"),
+        ({**GRID, "delta": None}, "'delta'"),
+        # a repeated grid point used to run twice, with different run seeds
+        ({**GRID, "epsilon": [0.3, 0.3]}, "n3-eps0.3-p0.5-path3"),
+        ({**GRID, "targets": [{"family": "path"}, {"family": "path", "length": 3}]},
+         "n3-eps0.2-p0.5-path3"),
+    ])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, doc, named):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert named in _one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target,dist", [
+        (None, '{"biases": [null]}'),
+        (None, '{"biases": [[0.5]]}'),
+        ('{"leaf": true}', None),
+        ('{"leaf": 1.0}', None),
+    ])
+    def test_malformed_build_input_is_one_error_line(self, workdir, capsys, target, dist):
+        if target is not None:
+            (workdir / "target.json").write_text(target)
+        if dist is not None:
+            (workdir / "dist.json").write_text(dist)
+        assert main([
+            "build", "--target", str(workdir / "target.json"), "--dist", str(workdir / "dist.json"),
+            "--epsilon", "0.2",
+        ]) == 1
+        _one_error_line(capsys)
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

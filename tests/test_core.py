@@ -542,7 +542,8 @@ class TestSerialization:
         for doc in ("{", "[1,2]", '{"leaf": 2}', '{"var": 0, "lo": {"leaf": 1}}',
                     '{"leaf": null}', '{"var": "x", "lo": {"leaf":1}, "hi": {"leaf":1}}',
                     '{"var":0,"lo":{"leaf":null,"id":true},"hi":{"leaf":null,"id":2}}',
-                    '{"leaf": null, "id": false}'):
+                    '{"leaf": null, "id": false}', '{"leaf": true}', '{"leaf": 1.0}',
+                    '{"leaf": -1.0}'):
             with pytest.raises(TreeFormatError):
                 parse_tree(doc)
 
@@ -567,6 +568,11 @@ class TestSerialization:
     def test_distribution_rejects_degenerate(self):
         with pytest.raises(TreeFormatError):
             parse_distribution('{"biases": [0.0, 0.5]}')
+
+    @pytest.mark.parametrize("doc", ['{"biases": [null]}', '{"biases": [[0.5]]}'])
+    def test_distribution_rejects_non_numbers(self, doc):
+        with pytest.raises(TreeFormatError, match="float"):
+            parse_distribution(doc)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))

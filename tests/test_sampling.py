@@ -167,8 +167,9 @@ def _per_coordinate_pair_draw(oracle, x, flips, i):
     return x, oracle.label_codes(x), oracle.label_codes(x ^ np.uint64(1 << i))
 
 
-def _estimate(batch, leaf_id, coord) -> float:
-    return len(batch.hits.get((leaf_id, coord), ())) / batch.drawn
+def _estimate(batch, leaf_id, coord, count) -> float:
+    """The (leaf, coordinate) estimate of a batch of ``count`` drawn points."""
+    return len(batch.hits.get((leaf_id, coord), ())) / count
 
 
 def _balanced_case(n, p, kind):
@@ -192,12 +193,14 @@ class TestDrawPair:
         # every labeled pair is (x, x with bit i flipped), coordinate by
         # coordinate in ascending order, and both labels are the oracle's
         oracle = TreeOracle(DICTATOR, 2)
+        counting = CountingOracle(oracle)
         rng = np.random.default_rng(0)
         ref = copy.deepcopy(rng)
-        batch = draw_pair_batch(oracle, UNIFORM2, rng, 500, ROOT)
+        batch = draw_pair_batch(counting, UNIFORM2, rng, 500, ROOT)
         x, flips = _replay(UNIFORM2, ref, 500)
         flipped = [x[idx] for idx in _flipped(flips, 2).values()]
-        assert len(batch) > 0 and batch.drawn == 500
+        assert len(batch) > 0
+        assert counting.queries == np.count_nonzero(flips != 0) + len(batch)
         assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(flipped)))
         alt = [oracle.label_codes(f ^ np.uint64(1 << i)) for i, f in enumerate(flipped)]
         assert np.array_equal(batch.alt_labels, np.concatenate(alt))
@@ -227,9 +230,9 @@ class TestDrawPair:
             assert ((0, i) in batch.hits) == (len(hits) > 0)
             assert np.array_equal(batch.hits.get((0, i), hits), hits)
             start = stop
-        assert start == len(batch) and batch.drawn == count
+        assert start == len(batch)
         assert ours.bit_generator.state == ref.bit_generator.state
-        assert counting.queries == batch.label_queries == batch.x_queries + len(batch)
+        assert counting.queries == np.count_nonzero(flips != 0) + len(batch)
 
     @pytest.mark.parametrize("p", [0.5, 0.1])
     @pytest.mark.parametrize("n,kind", CASES)
@@ -243,9 +246,8 @@ class TestDrawPair:
         batch = draw_pair_batch(counting, dist, rng, 3000, ROOT)
         flipped = _flipped(_replay(dist, ref, 3000)[1], n)
         some = len(np.unique(np.concatenate(list(flipped.values()))))
-        assert counting.queries == batch.label_queries == some + sum(map(len, flipped.values()))
+        assert counting.queries == some + sum(map(len, flipped.values()))
         assert len(batch) == len(batch.alt_labels) == sum(map(len, flipped.values()))
-        assert batch.x_queries == some
 
     @pytest.mark.parametrize("p", [0.5, 0.1])
     @pytest.mark.parametrize("n,kind", CASES)
@@ -261,8 +263,8 @@ class TestDrawPair:
         flipped = _off_path_flipped(x, flips, bare, n)
         batch = draw_pair_batch(counting, dist, ours, 3000, bare)
         some, pairs = _expected_queries(flipped)
-        assert counting.queries == batch.label_queries == some + pairs
-        assert (batch.x_queries, len(batch), batch.drawn) == (some, pairs, 3000)
+        assert counting.queries == some + pairs
+        assert len(batch) == pairs
         codes = [x[idx] for idx in flipped.values()]
         assert np.array_equal(batch.x_labels, oracle.label_codes(np.concatenate(codes)))
         alt = [oracle.label_codes(c ^ np.uint64(1 << i)) for i, c in enumerate(codes)]
@@ -275,12 +277,12 @@ class TestDrawPair:
         # 2 p_i (1 - p_i), and at the root every such pair is labeled
         oracle, dist = TreeOracle(DICTATOR, 2), ProductDistribution([0.3, 0.5])
         batch = draw_pair_batch(oracle, dist, np.random.default_rng(1), 100_000, ROOT)
-        assert abs(len(batch) / batch.drawn - (0.42 + 0.5)) < 0.01
+        assert abs(len(batch) / 100_000 - (0.42 + 0.5)) < 0.01
 
     def test_disagreement_rate_uniform(self):
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, UNIFORM2, np.random.default_rng(2), 100_000, ROOT)
-        assert abs(len(batch) / batch.drawn - (0.5 + 0.5)) < 0.01
+        assert abs(len(batch) / 100_000 - (0.5 + 0.5)) < 0.01
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
     @pytest.mark.parametrize("n,kind", CASES)
@@ -324,22 +326,22 @@ class TestScoreEstimate:
         batch = draw_pair_batch(oracle, UNIFORM2, np.random.default_rng(8), 8, ROOT)
         assert len(batch) > 0 and np.array_equal(batch.x_labels, batch.alt_labels)
         assert batch.hits == {}
-        assert _estimate(batch, 0, 0) == 0.0
+        assert _estimate(batch, 0, 0, 8) == 0.0
 
     def test_root_only_tree_counts_disagreements(self):
         oracle = TreeOracle(DICTATOR, 2)
         batch = draw_pair_batch(oracle, UNIFORM2, np.random.default_rng(3), 4000, ROOT)
         disagree = int(np.count_nonzero(batch.x_labels != batch.alt_labels))
         assert disagree > 0
-        assert _estimate(batch, 0, 0) == pytest.approx(disagree / 4000)
-        assert _estimate(batch, 0, 1) == 0.0
+        assert _estimate(batch, 0, 0, 4000) == pytest.approx(disagree / 4000)
+        assert _estimate(batch, 0, 1, 4000) == 0.0
 
     def test_unbiased_for_dictator_root(self):
         # mean over 200 fresh pools of 1000 pairs within 3 standard errors of 1/2
         oracle = TreeOracle(DICTATOR, 2)
         rng = np.random.default_rng(4)
         batches = [draw_pair_batch(oracle, UNIFORM2, rng, 1000, ROOT) for _ in range(200)]
-        estimates = [_estimate(batch, 0, 0) for batch in batches]
+        estimates = [_estimate(batch, 0, 0, 1000) for batch in batches]
         stderr = np.std(estimates, ddof=1) / math.sqrt(200)
         assert abs(np.mean(estimates) - 0.5) <= 3 * stderr
 
@@ -355,7 +357,7 @@ class TestScoreEstimate:
         oracle.queries = 0
         batch = draw_pair_batch(oracle, dist, np.random.default_rng(5), 5000, bare)
         assert batch.hits == {}
-        assert len(batch) == batch.x_queries == oracle.queries == 0
+        assert len(batch) == oracle.queries == 0
 
     def test_off_path_coordinate_routes_with_x(self):
         # when the redrawn coordinate is not queried, x reaches the leaf
@@ -472,6 +474,26 @@ class TestPracticalBuilder:
         floors = [0] + [pair_schedule(j, 0.1, 0.05, 5) for j in range(1, max_splits + 1)]
         assert pair_batches == [b - a for a, b in zip(floors, floors[1:])]
         assert [row.pair_floor for row in result.usage] == floors[1:] + floors[-1:]
+
+    def test_counts_through_a_plain_oracle(self):
+        # the builder counts label queries itself, through any oracle, and
+        # each usage row's draws are its floors, a pair being two points
+        class Tally(core.TargetOracle):
+            def __init__(self, inner):
+                self.inner, self.n, self.seen = inner, inner.n, 0
+
+            def label_codes(self, codes):
+                self.seen += len(codes)
+                return self.inner.label_codes(codes)
+
+        target = generate_balanced_target(3, 5, np.random.default_rng(2))
+        oracle = Tally(TreeOracle(target, 5))
+        result = build_topdown_practical(oracle, ProductDistribution([0.3] * 5), 0.1, 0.1, seed=6)
+        assert result.splits > 0
+        assert result.label_queries == result.usage[-1].label_queries == oracle.seen
+        for row in result.usage:
+            assert row.random_draws == row.labeling_floor + row.error_floor + 2 * row.pair_floor
+        assert result.random_draws == result.usage[-1].random_draws
 
     def test_usage_rows_nondecreasing(self):
         oracle = TreeOracle(DICTATOR, 2)
