@@ -728,7 +728,12 @@ def parse_distribution(text: str) -> ProductDistribution:
         raise TreeFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"biases"} or not isinstance(obj["biases"], list):
         raise TreeFormatError("distribution document must be {'biases': [...]}")
+    for i, p in enumerate(obj["biases"]):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise TreeFormatError(
+                f"bias {p!r} at coordinate {i} is not a JSON number (a float or an integer)"
+            )
     try:
         return ProductDistribution(obj["biases"])
-    except (TypeError, ValueError) as exc:  # a bias that is no number, or out of range
+    except (OverflowError, ValueError) as exc:  # a bias out of range, or no bias at all
         raise TreeFormatError(str(exc)) from exc

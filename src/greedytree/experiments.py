@@ -93,6 +93,23 @@ class TargetSpec:
         return generate_path_target(self.param(n), rng)
 
 
+def _json(kind: type, name: str):
+    """A converter that takes a JSON value of ``kind`` only, never a bool
+    where ``kind`` is a number; a JSON integer is also a number."""
+    kinds = (int, float) if kind is float else (kind,)
+
+    def convert(v):
+        if not isinstance(v, kinds) or (isinstance(v, bool) and kind is not bool):
+            raise ValueError(f"expected a JSON {name}, got {v!r}")
+        return kind(v)
+
+    return convert
+
+
+_BOOL, _INT, _NUMBER, _STR = (_json(bool, "bool"), _json(int, "integer"),
+                              _json(float, "number"), _json(str, "string"))
+
+
 def _tuple_of(convert):
     """A grid axis: a list of values, or one value standing for a list of one."""
     return lambda v: tuple(map(convert, v if isinstance(v, (list, tuple)) else [v]))
@@ -114,14 +131,14 @@ def _from_doc(cls, doc, table, what: str):
             try:
                 none = doc[key] is None and defaults[field] is None
                 kwargs[field] = None if none else convert(doc[key])
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:  # overflow: a huge integer
                 raise ValueError(f"{what} key {key!r}: {exc}") from exc
         elif defaults[field] is MISSING:
             raise ValueError(f"{what} key {key!r} is missing")
     return cls(**kwargs)
 
 
-_TARGET_TABLE = (("family", "family", str), ("depth", "depth", int), ("length", "length", int))
+_TARGET_TABLE = (("family", "family", _STR), ("depth", "depth", _INT), ("length", "length", _INT))
 
 
 @dataclass(frozen=True)
@@ -194,18 +211,18 @@ class ExperimentConfig:
 
 # The config's keys: ``from_dict`` reads these and no other, ``to_dict`` writes all.
 _CONFIG_TABLE = (
-    ("experiment", "experiment", str),
-    ("n", "n", _tuple_of(int)),
-    ("epsilon", "epsilons", _tuple_of(float)),
-    ("delta", "delta", float),
-    ("biases", "biases", _tuple_of(float)),
+    ("experiment", "experiment", _STR),
+    ("n", "n", _tuple_of(_INT)),
+    ("epsilon", "epsilons", _tuple_of(_NUMBER)),
+    ("delta", "delta", _NUMBER),
+    ("biases", "biases", _tuple_of(_NUMBER)),
     ("targets", "targets", lambda v: tuple(_from_doc(TargetSpec, t, _TARGET_TABLE, "target")
                                            for t in v)),  # a list of objects, never one
-    ("repetitions", "repetitions", int),
-    ("seed", "seed", int),
-    ("halve_epsilon", "halve_epsilon", bool),
-    ("max_splits", "max_splits", int),
-    ("count", "count", int),
+    ("repetitions", "repetitions", _INT),
+    ("seed", "seed", _INT),
+    ("halve_epsilon", "halve_epsilon", _BOOL),
+    ("max_splits", "max_splits", _INT),
+    ("count", "count", _INT),
 )
 
 

@@ -11,13 +11,22 @@ budget delta:
 * a pool of labeled points for majority leaf labeling;
 * an independent pool of labeled points for the stopping test.
 
-Every pool is a bare uint64 code array, partitioned across the current
+Every pool is a bare code array in the smallest unsigned dtype that holds
+n bits (uint16 at n = 12, uint32 at n = 20), partitioned across the current
 leaves: each sample lives at the leaf its first element reaches.  The
 labeling and stopping-test points are kept in one array per label, so every
-count the builder reads is an array length.  When a leaf splits, each of its
-arrays is partitioned by the split bit; one walk from the root hands each
-leaf its share of a fresh batch, so per-leaf counts follow the correct
-conditional law while the pool totals meet the floors exactly.
+count the builder reads is an array length, and the pools' bytes are the
+floors times that dtype's size.  When a leaf splits, each of its arrays is
+partitioned by the split bit; a walk from the root hands each leaf its
+share of a fresh batch, so per-leaf counts follow the correct conditional
+law while the pool totals meet the floors exactly.
+
+Draws, labels and routing stay on uint64 codes.  A top-up or pair draw is
+drawn in one piece, then labeled, routed and collected one slice of
+``_SLICE`` points at a time, and each pool grows by one concatenation per
+top-up.  So a top-up's transient memory is its draw plus one slice's work,
+whatever its size, and the pools come out as one whole pass would leave
+them.
 
 All coordinates share one draw of x per step.  The step draws ``d_pairs``
 points x, then ``d_pairs`` more points y of the same distribution, and pairs
@@ -159,8 +168,9 @@ def error_schedule(j: int, epsilon: float, delta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bit(codes: np.ndarray, coord: int) -> np.ndarray:
-    return (codes & np.uint64(1 << coord)) != 0
+# Points labeled, routed and collected at a time.  A slice's transient
+# arrays, not a whole top-up's, are what each top-up adds to its draw.
+_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,11 +182,13 @@ class PairBatch:
     out different from x's, so that x' is x with bit i flipped, and i is not
     queried on the path of the leaf x reaches.  ``x_labels`` and
     ``alt_labels`` hold the labels of x and x', one entry per labeled pair,
-    coordinate by coordinate in ascending order, and ``len`` counts the
-    labeled pairs.  ``hits[leaf, i]`` holds, in draw order, the x at
-    ``leaf`` whose pair for i disagrees; a key with no hit is left out.
-    Estimates divide by the number of points drawn, the caller's ``count``;
-    the oracle counts the label queries.
+    coordinate by coordinate in ascending order and in draw order within a
+    coordinate, and ``len`` counts the labeled pairs.  ``hits[leaf, i]``
+    holds, in draw order, the uint64 x at ``leaf`` whose pair for i
+    disagrees; a key with no hit is left out, and the keys run over the
+    leaves left to right, then over i ascending.  Estimates divide by the
+    number of points drawn, the caller's ``count``; the oracle counts the
+    label queries.
     """
 
     x_labels: np.ndarray
@@ -202,40 +214,53 @@ def draw_pair_batch(
     cannot disagree.  So the stream is ``count`` codes of ``dist`` twice,
     and the bits that flipped are x ^ y.
 
-    One walk routes the x and clears from each x ^ y the coordinates queried
-    on the path of the leaf its x reaches; the pairs left are labeled, their
-    disagreements kept as one more word per x, and each leaf reads its hits
-    from its group of the same walk.
+    Each slice of ``_SLICE`` points is routed in one walk, which clears from
+    each x ^ y the coordinates queried on the path of the leaf its x
+    reaches; the pairs left are labeled, and each x's disagreements are
+    kept as one word.  Each leaf keeps the x of its group that disagree,
+    with their words, and reads its hits from them once every slice is done.
     """
     x = dist.draw_codes(rng, count)
-    flips = x ^ dist.draw_codes(rng, count)
-    groups = list(route_groups(bare, x))
-    for leaf, idx in groups:
-        path = bare._paths[leaf.id]
-        if path:
-            flips[idx] &= ~np.uint64(sum(1 << v for v, _ in path))
-    # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
-    # about 2.5x as long as flatnonzero followed by the integer gather, and
-    # flatnonzero of a uint64 word about 6x as long as of its test != 0.
-    some = np.flatnonzero(flips != 0)
-    labels = np.zeros(count, dtype=np.int8)
-    labels[some] = oracle.label_codes(x[some])
-    disagree = np.zeros(count, dtype=np.uint64)
-    x_labels, alt_labels = [], []
-    for i in range(dist.n):
-        bit = np.uint64(1 << i)
-        idx = np.flatnonzero((flips & bit) != 0)
-        x_labels.append(labels[idx])
-        alt_labels.append(oracle.label_codes(x[idx] ^ bit))
-        disagree[idx[np.flatnonzero(x_labels[-1] != alt_labels[-1])]] |= bit
+    flips = dist.draw_codes(rng, count)
+    flips ^= x
+    x_labels, alt_labels = [[] for _ in range(dist.n)], [[] for _ in range(dist.n)]
+    found: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}  # by leaf: (x, word) per slice
+    for start in range(0, max(count, 1), _SLICE):  # count 0 is one empty slice
+        xs, fs = x[start:start + _SLICE], flips[start:start + _SLICE]
+        groups = list(route_groups(bare, xs))
+        for leaf, idx in groups:
+            path = bare._paths[leaf.id]
+            if path:
+                fs[idx] &= ~np.uint64(sum(1 << v for v, _ in path))
+        # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
+        # about 2.5x as long as flatnonzero followed by the integer gather, and
+        # flatnonzero of a uint64 word about 6x as long as of its test != 0.
+        some = np.flatnonzero(fs != 0)
+        labels = np.zeros(len(xs), dtype=np.int8)
+        labels[some] = oracle.label_codes(xs[some])
+        disagree = np.zeros(len(xs), dtype=np.uint64)
+        for i in range(dist.n):
+            bit = np.uint64(1 << i)
+            idx = np.flatnonzero((fs & bit) != 0)
+            x_labels[i].append(labels[idx])
+            alt_labels[i].append(oracle.label_codes(xs[idx] ^ bit))
+            disagree[idx[np.flatnonzero(x_labels[i][-1] != alt_labels[i][-1])]] |= bit
+        for leaf, idx in groups:
+            idx = idx[np.flatnonzero(disagree[idx] != 0)]
+            found.setdefault(leaf.id, []).append((xs[idx], disagree[idx]))
     hits = {}
-    for leaf, idx in groups:
-        idx = idx[np.flatnonzero(disagree[idx] != 0)]
-        words = disagree[idx]
+    # Slices can reach different leaves, so the leaves are put left to right
+    # again: their paths' bits first differ where one goes lo, the other hi.
+    for leaf_id in sorted(found, key=lambda leaf_id: [bit for _, bit in bare._paths[leaf_id]]):
+        codes, words = (np.concatenate(arrays) for arrays in zip(*found[leaf_id]))
         present = int(np.bitwise_or.reduce(words))
         for i in (i for i in range(present.bit_length()) if present >> i & 1):
-            hits[leaf.id, i] = x[idx[np.flatnonzero((words & np.uint64(1 << i)) != 0)]]
-    return PairBatch(np.concatenate(x_labels), np.concatenate(alt_labels), hits)
+            hits[leaf_id, i] = codes[np.flatnonzero((words & np.uint64(1 << i)) != 0)]
+    return PairBatch(
+        np.concatenate([part for parts in x_labels for part in parts]),
+        np.concatenate([part for parts in alt_labels for part in parts]),
+        hits,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +274,8 @@ _LL_STREAM, _EE_STREAM, _PAIR_STREAM = 1, 2, 3
 
 @dataclass
 class _LeafState:
-    """One leaf's share of the pools, each a bare uint64 code array.
+    """One leaf's share of the pools, each a bare code array in the
+    builder's pool dtype, the smallest unsigned one that holds n bits.
 
     ``pools[_LL_STREAM, label]`` and ``pools[_EE_STREAM, label]`` hold the
     leaf's labeling and stopping-test points of each label, +1 and -1.
@@ -271,19 +297,42 @@ class _LeafState:
     def mismatches(self) -> int:
         return len(self.pools[_EE_STREAM, -self.label])
 
-    def deposit(self, key: tuple[int, int], codes: np.ndarray) -> None:
-        self.pools[key] = np.concatenate([self.pools[key], codes])
+    def deposit(self, key: tuple[int, int], parts: list[np.ndarray]) -> None:
+        """Append ``parts`` in order to the pool of ``key``, cast to its dtype."""
+        pool = self.pools[key]
+        self.pools[key] = np.concatenate([pool, *parts], dtype=pool.dtype)
 
     def split(self, coord: int) -> tuple["_LeafState", "_LeafState"]:
         """The children with x_coord = 0, then 1.  Every pool is partitioned
         by the bit; the pair pool of ``coord`` is dropped, as the children
-        query it."""
+        query it.  Each pool leaves this state as it is partitioned, so
+        one pool at a time has its old and its new copies alive; the state
+        is left empty."""
         lo, hi = {}, {}
-        for key, codes in self.pools.items():
+        for key in list(self.pools):
+            codes = self.pools.pop(key)
             if key != (_PAIR_STREAM, coord):
-                side = _bit(codes, coord)
+                side = (codes & codes.dtype.type(1 << coord)) != 0
                 lo[key], hi[key] = codes[np.flatnonzero(~side)], codes[np.flatnonzero(side)]
         return _LeafState(lo), _LeafState(hi)
+
+
+def _labeled_shares(
+    oracle: TargetOracle, bare: BareTree, codes: np.ndarray, dtype: np.dtype
+) -> dict[tuple[int, int], list[np.ndarray]]:
+    """Label the uint64 ``codes`` and route them, one slice at a time.
+    Returns, by (leaf id, label), the parts of the codes of that label that
+    reach that leaf, in draw order and cast to ``dtype``."""
+    shares: dict[tuple[int, int], list[np.ndarray]] = {}
+    for start in range(0, len(codes), _SLICE):
+        chunk = codes[start:start + _SLICE]
+        positive = oracle.label_codes(chunk) > 0
+        narrow = chunk.astype(dtype)
+        for leaf, idx in route_groups(bare, chunk):
+            side = positive[idx]
+            for label, sel in ((1, side), (-1, ~side)):
+                shares.setdefault((leaf.id, label), []).append(narrow[idx[np.flatnonzero(sel)]])
+    return shares
 
 
 @dataclass(frozen=True)
@@ -381,7 +430,8 @@ def build_topdown_practical(
     bare = BareTree(BareLeaf(0))
     keys = [(s, label) for s in (_LL_STREAM, _EE_STREAM) for label in (1, -1)]
     keys += [(_PAIR_STREAM, i) for i in range(n)]
-    states = {0: _LeafState(dict.fromkeys(keys, np.empty(0, dtype=np.uint64)))}
+    dtype = np.min_scalar_type((1 << n) - 1)  # the pools' codes: n bits each
+    states = {0: _LeafState(dict.fromkeys(keys, np.empty(0, dtype=dtype)))}
     pair_floor = 0  # per coordinate; topped up only in a step that may split
     floors = (0, 0)  # labeling and stopping-test floors
     oracle = CountingOracle(oracle)  # owns every label-query count reported
@@ -395,12 +445,14 @@ def build_topdown_practical(
         d_ll, d_ee = (new - old for new, old in zip(new_floors, floors))
         floors = new_floors
         for stream, count in ((_LL_STREAM, d_ll), (_EE_STREAM, d_ee)):
-            codes = dist.draw_codes(_stream(seed, stream, j), count)
-            positive = oracle.label_codes(codes) > 0
-            for leaf, idx in route_groups(bare, codes):
-                side = positive[idx]
-                states[leaf.id].deposit((stream, 1), codes[idx[np.flatnonzero(side)]])
-                states[leaf.id].deposit((stream, -1), codes[idx[np.flatnonzero(~side)]])
+            # the drawn codes die as the call returns, before the pools grow,
+            # and the shares before the next draw
+            shares = _labeled_shares(
+                oracle, bare, dist.draw_codes(_stream(seed, stream, j), count), dtype
+            )
+            for (leaf_id, label), parts in shares.items():
+                states[leaf_id].deposit((stream, label), parts)
+            del shares
 
         # each stopping-test point sits at exactly one leaf: floors[1] in all
         mismatches = sum(st.mismatches for st in states.values())
@@ -414,9 +466,11 @@ def build_topdown_practical(
             # tops them up: a step that ends the run draws no pair.
             new_floor = pair_schedule(j, delta, epsilon, n)
             d_pairs, pair_floor = new_floor - pair_floor, new_floor
+            # dropped once deposited, so it is not alive through the split
             batch = draw_pair_batch(oracle, dist, _stream(seed, _PAIR_STREAM, j), d_pairs, bare)
             for (leaf_id, i), hits in batch.hits.items():
-                states[leaf_id].deposit((_PAIR_STREAM, i), hits)
+                states[leaf_id].deposit((_PAIR_STREAM, i), [hits])
+            del batch
             stop_reason = "no_splittable_leaf"  # read only if no candidate exists
             # every coordinate has drawn exactly the pair floor
             candidates = [

@@ -381,6 +381,18 @@ class TestUsageErrors:
         ({**GRID, "epsilon": [0.3, 0.3]}, "n3-eps0.3-p0.5-path3"),
         ({**GRID, "targets": [{"family": "path"}, {"family": "path", "length": 3}]},
          "n3-eps0.2-p0.5-path3"),
+        # each field takes its own JSON type only: these used to be accepted
+        # as true, n = 1, seed 1, truncated or parsed from strings
+        ({**GRID, "halve_epsilon": "false"}, "'halve_epsilon'"),
+        ({**GRID, "n": [True]}, "'n'"),
+        ({**GRID, "seed": True}, "'seed'"),
+        ({**GRID, "repetitions": 2.7}, "'repetitions'"),
+        ({**GRID, "max_splits": 3.5}, "'max_splits'"),
+        ({**GRID, "epsilon": ["0.3"]}, "'epsilon'"),
+        ({**GRID, "delta": "0.1"}, "'delta'"),
+        ({"experiment": "properties", "count": "3"}, "'count'"),
+        ({**GRID, "targets": [{"family": "path", "length": True}]}, "'length'"),
+        ({**GRID, "delta": 10**400}, "'delta'"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, doc, named):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
@@ -394,6 +406,7 @@ class TestUsageErrors:
         (None, '{"biases": [[0.5]]}'),
         ('{"leaf": true}', None),
         ('{"leaf": 1.0}', None),
+        (None, '{"biases": [0.5, "0.25"]}'),
     ])
     def test_malformed_build_input_is_one_error_line(self, workdir, capsys, target, dist):
         if target is not None:

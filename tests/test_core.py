@@ -574,6 +574,16 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match="float"):
             parse_distribution(doc)
 
+    @pytest.mark.parametrize("bias", ['"0.25"', "true", "false"])
+    def test_distribution_names_a_non_number_bias(self, bias):
+        # a string bias used to be read as its number, a bool as 1.0 or 0.0
+        with pytest.raises(TreeFormatError, match="at coordinate 1 is not a JSON number"):
+            parse_distribution(f'{{"biases": [0.5, {bias}]}}')
+
+    def test_distribution_refuses_a_bias_past_float_range(self):
+        with pytest.raises(TreeFormatError, match="too large"):
+            parse_distribution('{"biases": [0.5, 1' + '0' * 400 + ']}')
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))
     def test_round_trip_random_trees(self, seed):

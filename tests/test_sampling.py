@@ -664,3 +664,76 @@ class TestPoolsEqualRoutingFromScratch:
             (sampling._PAIR_STREAM, j) for j in range(1, last)
         ]
         assert (sampling._PAIR_STREAM, last) not in keys
+
+
+class TestWorkingMemory:
+    """Pools in the narrowest code dtype, batches worked in slices: the
+    slice size changes nothing but memory."""
+
+    def test_slice_size_leaves_the_build_unchanged(self, monkeypatch):
+        oracle, dist = _routing_case(5, 0.3, "balanced", 2)
+        expected = build_topdown_practical(oracle, dist, 0.3, 0.1, seed=7)
+        monkeypatch.setattr(sampling, "_SLICE", 7)
+        counting = CountingOracle(oracle)
+        result = build_topdown_practical(counting, dist, 0.3, 0.1, seed=7)
+        assert result.splits > 0
+        assert repr(result) == repr(expected)
+        assert counting.queries == expected.label_queries
+
+    @pytest.mark.parametrize("count", [0, 5, 300])
+    def test_slice_size_leaves_the_pair_batch_unchanged(self, monkeypatch, count):
+        # 300 points are 42 slices of 7 and one of 6
+        oracle, dist = _routing_case(6, 0.5, "balanced", 3)
+        bare = BareTree(BareLeaf(0))
+        for leaf_id, coord in ((0, 0), (1, 1), (2, 2), (4, 3)):
+            bare = split_leaf(bare, leaf_id, coord)[0]
+        assert len(bare.leaf_ids()) == 5
+        expected = draw_pair_batch(oracle, dist, np.random.default_rng(3), count, bare)
+        monkeypatch.setattr(sampling, "_SLICE", 7)
+        rng = np.random.default_rng(3)
+        batch = draw_pair_batch(oracle, dist, rng, count, bare)
+        assert rng.random() == np.random.default_rng(3).random(2 * 6 * count + 1)[-1]
+        for got, want in ((batch.x_labels, expected.x_labels),
+                          (batch.alt_labels, expected.alt_labels)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert list(batch.hits) == list(expected.hits)  # the keys in the same order
+        assert (len(batch.hits) > 5) == (count == 300)
+        for key, codes in expected.hits.items():
+            assert batch.hits[key].dtype == np.uint64 and np.array_equal(batch.hits[key], codes)
+
+    @pytest.mark.parametrize("n,dtype", [(12, np.uint16), (20, np.uint32), (40, np.uint64)])
+    def test_pools_take_the_narrowest_code_dtype(self, monkeypatch, n, dtype):
+        seen = []
+        split = sampling._LeafState.split
+
+        def recording(state, coord):
+            seen.extend(codes.dtype for codes in state.pools.values())
+            return split(state, coord)
+
+        monkeypatch.setattr(sampling._LeafState, "split", recording)
+        oracle = TreeOracle(DecisionTree(Internal(n - 1, Leaf(-1), Leaf(1))), n)
+        result = build_topdown_practical(
+            oracle, ProductDistribution([0.5] * n), 0.2, 0.1, seed=1, max_splits=1
+        )
+        assert result.steps[0].split_coord == n - 1
+        assert len(seen) == n + 4 and set(seen) == {np.dtype(dtype)}
+
+    def test_practical_n20_peak_stays_under_20_mb(self):
+        # The n = 20 path target at eps = 0.03 holds about 2.07M pooled
+        # codes when it ends.  With uint64 pools, each top-up labeled and
+        # routed in one piece, the build's traced peak was 28.0 MB; with
+        # uint32 pools and sliced top-ups it is about 15 MB, the step-1
+        # labeling draw of 919K uint64 codes (7.4 MB) the largest transient.
+        import tracemalloc
+
+        oracle = TreeOracle(generate_path_target(20, np.random.default_rng(5)), 20)
+        oracle.label_codes(np.zeros(1, dtype=np.uint64))  # the 1 MB table, filled before
+        dist = ProductDistribution([0.5] * 20)
+        tracemalloc.start()
+        try:
+            result = build_topdown_practical(oracle, dist, 0.03, 0.1, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.terminated
+        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
