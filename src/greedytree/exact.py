@@ -28,13 +28,9 @@ of at least two draw blocks (2^16 points) they are dealt round-robin to
 the draw threads of :mod:`greedytree.core`: the calling thread reduces
 the first share while the pool reduces the rest, so a 2-CPU machine runs
 two coordinates at a time.  Every coordinate's value comes from the same
-expression on either path, so the results are bit-identical.  Each summary
-also records its relevant coordinates, those with at least one
-disagreeing pair.  A coordinate the parent leaf found irrelevant has no
-disagreeing pair in any sub-region, so :func:`split_children` skips it, and
-a leaf with constant labels skips them all; a skipped coordinate keeps
-0.0, which is what its reduction would give.  Fresh summaries reduce every
-free coordinate.
+expression on either path, so the results are bit-identical.  A leaf with
+constant labels reduces no coordinate: each keeps 0.0, which is what its
+reduction would give.
 
 Leaf pairs.  A target given as a decision tree (an oracle whose
 ``compiled_leaves`` is not None) partitions the cube into subcubes, one per
@@ -46,9 +42,8 @@ the only coordinate both fix to different bits; the points x with
 f(x, x_i=0) != f(x, x_i=1) form one subcube per such pair, weighed by the
 bias factors of the pair's fixed bits outside i and the restriction (the
 factor of x_i is left out, not divided out).  The flip influence of x_i is
-the sum of those weights, and the relevant coordinates are those with a
-pair.  A child keeps only its parent's consistent leaves.  No point is
-labeled, so a ``CountingOracle`` sees no query.
+the sum of those weights.  A child keeps only its parent's consistent
+leaves.  No point is labeled, so a ``CountingOracle`` sees no query.
 
 The path is chosen once per build, from the target: leaf pairs when its
 ordered label-differing leaf pairs times n is at most 2^n, the size of the
@@ -169,9 +164,7 @@ def _codes(view: SubfunctionView, dist: ProductDistribution) -> np.ndarray:
 @dataclass(frozen=True)
 class SubfunctionSummary:
     """Positive mass and every coordinate's influence, re-randomization and
-    flip forms (exactly 0 on restricted coordinates), of one subfunction,
-    and its relevant coordinates: those with at least one pair of points,
-    differing only there, that the subfunction labels differently.
+    flip forms (exactly 0 on restricted coordinates), of one subfunction.
 
     An enumeration also keeps its ±1 values in enumeration order as
     ``labels``; a leaf-pair summary keeps the target's consistent leaves as
@@ -182,7 +175,6 @@ class SubfunctionSummary:
     influences: np.ndarray
     flip_influences: np.ndarray
     labels: np.ndarray | None = field(repr=False, compare=False)
-    relevant: frozenset[int] = field(repr=False, compare=False)
     leaves: CompiledLeaves | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -203,22 +195,18 @@ def _summarize(
     free: list[int],
     labels: np.ndarray,
     weights: np.ndarray,
-    relevant: frozenset[int] | None = None,
 ) -> SubfunctionSummary:
     """The influence reduction over one enumeration's labels and weights.
 
-    Only the free coordinates in ``relevant`` (all of them by default) are
-    reduced, and none when the labels are constant; the rest keep 0.0, the
-    sum of an empty gather.  Large enumerations also reduce on the draw
-    threads (see the module docstring).
+    Every free coordinate is reduced, and none when the labels are
+    constant: then each keeps 0.0, the sum of an empty gather.  Large
+    enumerations also reduce on the draw threads (see the module
+    docstring).
     """
     mu_plus = float(np.sum(weights[labels > 0]))
     infl = np.zeros(dist.n)
     flip = np.zeros(dist.n)
-    relevant_here: set[int] = set()
-    positions = []
-    if labels.min() != labels.max():
-        positions = [t for t, i in enumerate(free) if relevant is None or i in relevant]
+    positions = list(range(len(free))) if labels.min() != labels.max() else []
 
     def reduce(share: list[int]) -> None:
         # numpy only: no oracle, nothing a tracer wraps
@@ -233,8 +221,6 @@ def _summarize(
             d = float(np.sum(gathered)) / (1.0 - p)
             flip[i] = d
             infl[i] = 2.0 * p * (1.0 - p) * d
-            if gathered.size:  # not d != 0.0: products of weights can underflow
-                relevant_here.add(i)
 
     threads = core._DRAW_THREADS
     shares = [positions]
@@ -244,7 +230,7 @@ def _summarize(
     reduce(shares[0])
     for job in jobs:
         job.result()
-    return SubfunctionSummary(mu_plus, infl, flip, labels, frozenset(relevant_here))
+    return SubfunctionSummary(mu_plus, infl, flip, labels)
 
 
 def subfunction_summary(view: SubfunctionView, dist: ProductDistribution) -> SubfunctionSummary:
@@ -304,7 +290,6 @@ def _pair_summary(
         influences=2.0 * p * (1.0 - p) * flip,
         flip_influences=flip,
         labels=None,
-        relevant=frozenset(np.unique(coords).tolist()),
         leaves=leaves,
     )
 
@@ -339,7 +324,6 @@ class LeafInfo:
     score: float  # reach * largest influence
     coord: int  # coordinate of the largest influence; -1 with none free
     labels: np.ndarray | None = field(repr=False, compare=False)
-    relevant: frozenset[int] = field(repr=False, compare=False)
     leaves: CompiledLeaves | None = field(repr=False, compare=False)
 
 
@@ -363,7 +347,6 @@ def _leaf(
         score=score,
         coord=best,
         labels=summary.labels,
-        relevant=summary.relevant,
         leaves=summary.leaves,
     )
 
@@ -395,8 +378,8 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     On enumeration the labels come from the parent's: with the split
     coordinate at position t of the free coordinates, child b takes the
     index slice whose bit t is b, which is already in the child's
-    enumeration order, and only the parent's relevant coordinates are
-    reduced.  Either way no point is labeled again.
+    enumeration order, and every free coordinate is reduced again.  Either
+    way no point is labeled again.
     """
     fixed = info.restriction.coordinates()
     free = [i for i in range(dist.n) if i not in fixed]
@@ -411,7 +394,7 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     halves = info.labels.reshape(-1, 2, 1 << t)
     return tuple(
         _leaf(dist, info.restriction.extend(info.coord, b), child_free,
-              _summarize(dist, child_free, halves[:, b, :].flatten(), weights, info.relevant))
+              _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
         for b in (0, 1)
     )
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ProductDistribution, TreeOracle, size
+from .core import MAX_CODE_BITS, ProductDistribution, TreeOracle, size
 from .exact import EnumerationLimitError, tree_error
 from .sampling import build_topdown_practical
 from .targets import generate_balanced_target, generate_path_target
@@ -74,8 +74,15 @@ class TargetSpec:
     def __post_init__(self):
         if self.family not in ("balanced", "path"):
             raise ValueError(f"unknown target family {self.family!r}")
+        unread = "length" if self.family == "balanced" else "depth"
+        if getattr(self, unread) is not None:
+            raise ValueError(f"target key {unread!r} is not read by {self.family} targets")
         if self.family == "balanced" and self.depth is None:
             raise ValueError("balanced targets need a depth")
+        if self.depth is not None and self.depth < 0:
+            raise ValueError(f"target key 'depth' must be >= 0, got {self.depth}")
+        if self.length is not None and self.length < 1:
+            raise ValueError(f"target key 'length' must be >= 1, got {self.length}")
 
     def param(self, n: int) -> int:
         if self.family == "balanced":
@@ -178,6 +185,8 @@ class ExperimentConfig:
         if self.experiment != "properties" and empty:  # the grid axes default to ()
             raise ValueError(f"empty grid axes {empty}")
         for n in self.n:
+            if not 1 <= n <= MAX_CODE_BITS:
+                raise ValueError(f"config key 'n' must lie in 1..{MAX_CODE_BITS}, got {n}")
             for t in self.targets:
                 if t.param(n) > n:
                     raise ValueError(f"{t.family} target parameter {t.param(n)} exceeds n={n}")
@@ -328,13 +337,13 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
             "target_family", "target_param", "target_size", "config_sha",
         )}
         agg.update(row_type="aggregate", rep="", run_seed="", status="", terminated="")
-        for field in ("size", "exact_error", "steps", "label_queries", "random_draws"):
-            values = np.array([float(r[field]) for r in good if r[field] != ""], dtype=np.float64)
+        columns = {
+            field: np.array([float(r[field]) for r in good if r[field] != ""], dtype=np.float64)
+            for field in ("size", "exact_error", "steps", "label_queries", "random_draws")
+        }
+        for field, values in columns.items():
             agg[field] = float(np.mean(values)) if len(values) else ""
-        sizes = np.array([float(r["size"]) for r in good if r["size"] != ""], dtype=np.float64)
-        errors = np.array(
-            [float(r["exact_error"]) for r in good if r["exact_error"] != ""], dtype=np.float64
-        )
+        sizes, errors = columns["size"], columns["exact_error"]
         agg["size_std"] = float(np.std(sizes, ddof=1)) if len(sizes) > 1 else ""
         agg["error_std"] = float(np.std(errors, ddof=1)) if len(errors) > 1 else ""
         agg["errors_within_eps"] = int(

@@ -22,10 +22,9 @@ target is labeled once per build: the root's enumeration labels all 2^n
 points, and each split derives its two children from the parent's labels
 (:func:`greedytree.exact.split_children`), so a ``CountingOracle`` target
 sees exactly 2^n queries.  There the live leaves hold only their labels
-(2^n in all), not codes or weights; a child reduces only the coordinates
-its parent found relevant, and large leaves reduce on the draw threads
-too.  On both paths the final tree takes its labels from the positive
-masses already held.
+(2^n in all), not codes or weights, and large leaves reduce on the draw
+threads too.  On both paths the final tree takes its labels from the
+positive masses already held.
 """
 
 from __future__ import annotations

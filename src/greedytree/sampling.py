@@ -185,10 +185,9 @@ class PairBatch:
     coordinate by coordinate in ascending order and in draw order within a
     coordinate, and ``len`` counts the labeled pairs.  ``hits[leaf, i]``
     holds, in draw order, the uint64 x at ``leaf`` whose pair for i
-    disagrees; a key with no hit is left out, and the keys run over the
-    leaves left to right, then over i ascending.  Estimates divide by the
-    number of points drawn, the caller's ``count``; the oracle counts the
-    label queries.
+    disagrees; a key with no hit is left out, and the keys are sorted by
+    leaf id, then i.  Estimates divide by the number of points drawn, the
+    caller's ``count``; the oracle counts the label queries.
     """
 
     x_labels: np.ndarray
@@ -214,21 +213,23 @@ def draw_pair_batch(
     cannot disagree.  So the stream is ``count`` codes of ``dist`` twice,
     and the bits that flipped are x ^ y.
 
-    Each slice of ``_SLICE`` points is routed in one walk, which clears from
-    each x ^ y the coordinates queried on the path of the leaf its x
-    reaches; the pairs left are labeled, and each x's disagreements are
-    kept as one word.  Each leaf keeps the x of its group that disagree,
-    with their words, and reads its hits from them once every slice is done.
+    Each slice of ``_SLICE`` points is routed in one walk, which notes the
+    leaf each x reaches and clears from each x ^ y the coordinates queried
+    on that leaf's path; the pairs left are labeled.  For each coordinate
+    i, the slice's x that disagree are put in leaf order, draw order kept,
+    and each leaf's run is appended to the parts of (leaf id, i), which are
+    concatenated once every slice is done (a key with one part keeps it).
     """
     x = dist.draw_codes(rng, count)
     flips = dist.draw_codes(rng, count)
     flips ^= x
     x_labels, alt_labels = [[] for _ in range(dist.n)], [[] for _ in range(dist.n)]
-    found: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}  # by leaf: (x, word) per slice
+    found: dict[tuple[int, int], list[np.ndarray]] = {}  # by (leaf id, i): hits per slice
     for start in range(0, max(count, 1), _SLICE):  # count 0 is one empty slice
         xs, fs = x[start:start + _SLICE], flips[start:start + _SLICE]
-        groups = list(route_groups(bare, xs))
-        for leaf, idx in groups:
+        leaf_of = np.empty(len(xs), dtype=np.int64)
+        for leaf, idx in route_groups(bare, xs):
+            leaf_of[idx] = leaf.id
             path = bare._paths[leaf.id]
             if path:
                 fs[idx] &= ~np.uint64(sum(1 << v for v, _ in path))
@@ -238,28 +239,21 @@ def draw_pair_batch(
         some = np.flatnonzero(fs != 0)
         labels = np.zeros(len(xs), dtype=np.int8)
         labels[some] = oracle.label_codes(xs[some])
-        disagree = np.zeros(len(xs), dtype=np.uint64)
         for i in range(dist.n):
             bit = np.uint64(1 << i)
             idx = np.flatnonzero((fs & bit) != 0)
             x_labels[i].append(labels[idx])
             alt_labels[i].append(oracle.label_codes(xs[idx] ^ bit))
-            disagree[idx[np.flatnonzero(x_labels[i][-1] != alt_labels[i][-1])]] |= bit
-        for leaf, idx in groups:
-            idx = idx[np.flatnonzero(disagree[idx] != 0)]
-            found.setdefault(leaf.id, []).append((xs[idx], disagree[idx]))
-    hits = {}
-    # Slices can reach different leaves, so the leaves are put left to right
-    # again: their paths' bits first differ where one goes lo, the other hi.
-    for leaf_id in sorted(found, key=lambda leaf_id: [bit for _, bit in bare._paths[leaf_id]]):
-        codes, words = (np.concatenate(arrays) for arrays in zip(*found[leaf_id]))
-        present = int(np.bitwise_or.reduce(words))
-        for i in (i for i in range(present.bit_length()) if present >> i & 1):
-            hits[leaf_id, i] = codes[np.flatnonzero((words & np.uint64(1 << i)) != 0)]
+            hit = idx[np.flatnonzero(x_labels[i][-1] != alt_labels[i][-1])]
+            hit = hit[np.argsort(leaf_of[hit], kind="stable")]  # by leaf, draw order kept
+            for part in np.split(hit, np.flatnonzero(np.diff(leaf_of[hit])) + 1):
+                if len(part):
+                    found.setdefault((int(leaf_of[part[0]]), i), []).append(xs[part])
     return PairBatch(
         np.concatenate([part for parts in x_labels for part in parts]),
         np.concatenate([part for parts in alt_labels for part in parts]),
-        hits,
+        {key: parts[0] if len(parts) == 1 else np.concatenate(parts)
+         for key, parts in sorted(found.items())},
     )
 
 

@@ -216,6 +216,11 @@ class TestRun:
     def test_config_round_trips_and_properties_need_no_grid(self, workdir):
         config = ExperimentConfig.from_dict(json.loads(self._config(workdir).read_text()))
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+        # to_dict writes the key a family does not read as null, which is read back
+        both = ExperimentConfig.from_dict({**config.to_dict(), "targets": [
+            {"family": "balanced", "depth": 2}, {"family": "path"}]})
+        assert both.to_dict()["targets"][0]["length"] is None
+        assert ExperimentConfig.from_dict(both.to_dict()) == both
         props = ExperimentConfig.from_dict({"experiment": "properties", "count": 2})
         assert ExperimentConfig.from_dict(props.to_dict()) == props
 
@@ -393,6 +398,15 @@ class TestUsageErrors:
         ({"experiment": "properties", "count": "3"}, "'count'"),
         ({**GRID, "targets": [{"family": "path", "length": True}]}, "'length'"),
         ({**GRID, "delta": 10**400}, "'delta'"),
+        # grids no run can use: these used to fail only when run, or to run
+        # as error rows, or to drop the key silently
+        ({**GRID, "n": [0]}, "'n'"),
+        ({**GRID, "n": [70]}, "'n'"),
+        ({**GRID, "targets": [{"family": "balanced", "depth": -1}]}, "'depth'"),
+        ({**GRID, "targets": [{"family": "path", "length": 0}]}, "'length'"),
+        ({**GRID, "targets": [{"family": "path", "length": -2}]}, "'length'"),
+        ({**GRID, "targets": [{"family": "path", "depth": 3}]}, "'depth'"),
+        ({**GRID, "targets": [{"family": "balanced", "depth": 2, "length": 3}]}, "'length'"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, doc, named):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"

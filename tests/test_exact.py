@@ -380,7 +380,6 @@ class TestLeafPairs:
                 values = getattr(got, form)
                 np.testing.assert_allclose(values, getattr(want, form), rtol=1e-12, atol=0)
                 assert all(values[i] == 0.0 for i in r.coordinates())
-            assert got.relevant == want.relevant
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["tree", "balanced", "path"]))
@@ -421,9 +420,10 @@ class TestLeafPairs:
         assert small.inner._table is None
         assert_same_leaf(paired, pair_leaf(small, dist, r))
 
-    def test_underflowed_influence_stays_relevant(self):
-        # TestRelevance's case on leaf pairs: f = +1 only at x = 111, and the
-        # pair across coordinate 2 weighs 1e-200 * 1e-200, which underflows
+    def test_underflowed_influence_reads_its_weight_in_the_child(self):
+        # TestPairlessCoordinates' case on leaf pairs: f = +1 only at x = 111,
+        # and the pair across coordinate 2 weighs 1e-200 * 1e-200, which
+        # underflows; with x0 = 1 fixed it weighs 1e-200
         and3 = DecisionTree(
             Internal(0, Leaf(-1), Internal(1, Leaf(-1), Internal(2, Leaf(-1), Leaf(1))))
         )
@@ -431,8 +431,8 @@ class TestLeafPairs:
         dist = ProductDistribution([1e-200, 1e-200, 0.5])
         summary = _pair_summary(dist, Restriction(), oracle.compiled_leaves())
         assert summary.flip_influences[2] == 0.0
-        assert summary.relevant == {0, 1, 2}
-        assert pair_leaf(oracle, dist, Restriction({0: 1})).relevant == {1, 2}
+        child = _pair_summary(dist, Restriction({0: 1}), summary.leaves)
+        assert child.flip_influences[2] == 1e-200
 
     def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self, monkeypatch):
         monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
@@ -446,57 +446,54 @@ class TestLeafPairs:
         assert oracle.queries == 0
 
 
-def brute_relevant(table: np.ndarray, n: int, restriction: Restriction) -> frozenset[int]:
-    """Free coordinates i with some x in the region where f(x) != f(x ^ e_i)."""
-    codes = np.arange(1 << n, dtype=np.uint64)
-    inside = np.ones(len(codes), dtype=bool)
-    for i, b in restriction.items():
-        inside &= ((codes >> np.uint64(i)) & np.uint64(1)) == b
-    x = codes[inside]
-    return frozenset(
-        i for i in range(n)
-        if i not in restriction and np.any(table[x] != table[x ^ np.uint64(1 << i)])
-    )
+class TestPairlessCoordinates:
+    """A free coordinate with no disagreeing pair in a leaf's region reads
+    exactly +0.0 in both children, so reducing every free coordinate of a
+    child gives what skipping it would."""
 
-
-class TestRelevance:
-    """``relevant`` is the set of coordinates with a disagreeing pair, not a
-    float test, and a split only ever shrinks it."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), kind=st.sampled_from(["tree", "table"]))
-    def test_equals_brute_force_and_shrinks_on_splits(self, seed, n, kind):
-        rng = np.random.default_rng(seed)
-        if kind == "table":
-            oracle = generate_truth_table(n, rng)
-        else:
-            oracle = TreeOracle(generate_random_tree(n, min(n, 5), rng), n)
-        table = oracle.label_codes(np.arange(1 << n, dtype=np.uint64))
+    @pytest.mark.parametrize("kind", ["table", "tree"])
+    def test_reads_positive_zero_in_both_children(self, kind):
+        rng = np.random.default_rng(3)
+        n = 9
+        oracle = enumerated_oracle(kind, n, rng)
+        assert not _pairs_fit(oracle.compiled_leaves(), n)
+        codes = np.arange(1 << n, dtype=np.uint64)
+        table = oracle.label_codes(codes)
         dist = ProductDistribution(rng.uniform(0.05, 0.95, n))
-        live = [leaf_info(oracle, dist, Restriction())]
+        checked = 0
+        live = [Restriction()]
         while live:
-            info = live.pop()
-            assert info.relevant == brute_relevant(table, n, info.restriction)
-            free = [i for i in range(n) if i not in info.restriction]
+            r = live.pop()
+            free = [i for i in range(n) if i not in r]
             if not free:
                 continue
+            inside = np.ones(len(codes), dtype=bool)
+            for i, b in r.items():
+                inside &= ((codes >> np.uint64(i)) & np.uint64(1)) == b
+            x = codes[inside]
+            pairless = [i for i in free if np.all(table[x] == table[x ^ np.uint64(1 << i)])]
             coord = int(rng.choice(free))
-            for child in split_children(dataclasses.replace(info, coord=coord), dist):
-                assert child.relevant <= info.relevant
+            for b in (0, 1):
+                child = r.extend(coord, b)
+                summary = subfunction_summary(SubfunctionView(oracle, child), dist)
+                for i in pairless:
+                    for value in (summary.influences[i], summary.flip_influences[i]):
+                        assert value == 0.0 and not np.signbit(value)
+                if len(set(table[x])) > 1:  # labels vary: only relevance skipped i
+                    checked += len(pairless)
                 live.append(child)
+        assert checked > 0
 
-    def test_underflowed_influence_stays_relevant(self):
+    def test_child_of_an_underflowed_parent_equals_a_fresh_leaf(self):
         # f = +1 only at x = 111: across coordinate 2 the pairs disagree where
         # x0 = x1 = 1, whose weight 1e-200 * 1e-200 underflows to 0.0
         dist = ProductDistribution([1e-200, 1e-200, 0.5])
         oracle = TruthTableOracle(np.array([-1] * 7 + [1], dtype=np.int8))
         root = leaf_info(oracle, dist, Restriction())
-        assert root.relevant == {0, 1, 2}
         assert subfunction_summary(SubfunctionView(oracle), dist).flip_influences[2] == 0.0
         _, hi = split_children(dataclasses.replace(root, coord=0), dist)
         fresh = leaf_info(oracle, dist, Restriction({0: 1}))
         assert_same_leaf(hi, fresh)
-        assert hi.relevant == {1, 2}
         assert subfunction_summary(SubfunctionView(oracle, Restriction({0: 1})), dist
                                    ).flip_influences[2] == 1e-200
 

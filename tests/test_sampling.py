@@ -697,6 +697,7 @@ class TestWorkingMemory:
                           (batch.alt_labels, expected.alt_labels)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert list(batch.hits) == list(expected.hits)  # the keys in the same order
+        assert list(batch.hits) == sorted(batch.hits)  # by leaf id, then coordinate
         assert (len(batch.hits) > 5) == (count == 300)
         for key, codes in expected.hits.items():
             assert batch.hits[key].dtype == np.uint64 and np.array_equal(batch.hits[key], codes)
