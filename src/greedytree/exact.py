@@ -42,8 +42,19 @@ the only coordinate both fix to different bits; the points x with
 f(x, x_i=0) != f(x, x_i=1) form one subcube per such pair, weighed by the
 bias factors of the pair's fixed bits outside i and the restriction (the
 factor of x_i is left out, not divided out).  The flip influence of x_i is
-the sum of those weights.  A child keeps only its parent's consistent
-leaves.  No point is labeled, so a ``CountingOracle`` sees no query.
+the sum of those weights.  No point is labeled, so a ``CountingOracle``
+sees no query.
+
+Each :func:`leaf_info` call on this path builds one piece table
+(:class:`Pieces`) from the leaves consistent with its restriction: a row
+per +1 leaf, then a row per meeting pair, each holding the bits the piece
+needs at 0 and at 1, its coordinate, and its bias factor on every
+coordinate (1.0 where the piece leaves it free).  A node's summary gathers
+its rows, sets the restriction's columns to 1.0 and multiplies along each
+row.  A child filters its parent's rows with one bit: child b keeps the
+rows that need no 1 - b at the split coordinate, so a pair meeting there
+leaves both children.  The table's factors take pieces x n x 8 bytes and
+are kept, shared by every node, for one build.
 
 The path is chosen once per build, from the target: leaf pairs when its
 ordered label-differing leaf pairs times n is at most 2^n, the size of the
@@ -65,6 +76,7 @@ target), which took about 1.2-1.5 s, against 1.6-1.7 s on one thread, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +97,7 @@ __all__ = [
     "MAX_FREE_COORDS",
     "EnumerationLimitError",
     "LeafInfo",
+    "Pieces",
     "SubfunctionView",
     "SubfunctionSummary",
     "cost",
@@ -128,6 +141,18 @@ class SubfunctionView:
         return [i for i in range(self.n) if i not in fixed]
 
 
+class Pieces(NamedTuple):
+    """A build's piece table and the rows of it one node keeps (see the
+    module docstring).  Row k is a +1 leaf (``coord`` -1; these rows come
+    first) or a label-differing leaf pair meeting across x_coord."""
+
+    req0: np.ndarray  # uint64: the bits the piece needs at 0, a pair's x_coord too
+    req1: np.ndarray  # uint64: the bits the piece needs at 1, a pair's x_coord too
+    coord: np.ndarray  # int64
+    factors: np.ndarray  # float64, pieces x n: p or 1 - p on the piece's bits, else 1.0
+    rows: np.ndarray  # int64, ascending: this node's rows
+
+
 def _check_budget(m: int) -> None:
     if m > MAX_FREE_COORDS:
         raise EnumerationLimitError(
@@ -167,15 +192,15 @@ class SubfunctionSummary:
     flip forms (exactly 0 on restricted coordinates), of one subfunction.
 
     An enumeration also keeps its ±1 values in enumeration order as
-    ``labels``; a leaf-pair summary keeps the target's consistent leaves as
-    ``leaves``.  The other field is None.
+    ``labels``; a leaf-pair summary keeps its node's rows of the piece
+    table as ``pieces``.  The other field is None.
     """
 
     positive_mass: float
     influences: np.ndarray
     flip_influences: np.ndarray
     labels: np.ndarray | None = field(repr=False, compare=False)
-    leaves: CompiledLeaves | None = field(default=None, repr=False, compare=False)
+    pieces: Pieces | None = field(default=None, repr=False, compare=False)
 
     @property
     def variance(self) -> float:
@@ -254,43 +279,52 @@ def _pairs_fit(leaves: CompiledLeaves | None, n: int) -> bool:
     return 2 * plus * (len(leaves.label) - plus) * n <= 1 << n
 
 
-def _piece_weights(dist: ProductDistribution, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Probability of each subcube {x : x & mask == value & mask}."""
-    shifts = np.arange(dist.n, dtype=np.uint64)
-    fixed = ((masks[:, None] >> shifts) & np.uint64(1)) != 0
-    ones = ((values[:, None] >> shifts) & np.uint64(1)) != 0
-    p = np.asarray(dist.biases)
-    return np.where(fixed, np.where(ones, p, 1.0 - p), 1.0).prod(axis=1)
-
-
-def _pair_summary(
+def _piece_table(
     dist: ProductDistribution, restriction: Restriction, leaves: CompiledLeaves
-) -> SubfunctionSummary:
-    """The summary of the restriction from the target's leaves (see the
-    module docstring); ``leaves`` must hold every leaf consistent with it."""
+) -> Pieces:
+    """The piece table of the target's leaves consistent with the
+    restriction (see the module docstring), every row kept."""
     fixed_mask = np.uint64(sum(1 << i for i in restriction.coordinates()))
     keep = ((leaves.value ^ np.uint64(restriction.base_code())) & leaves.mask & fixed_mask) == 0
-    leaves = CompiledLeaves(*(a[keep] for a in leaves))
-    plus = leaves.label > 0
-    pm, pv = leaves.mask[plus], leaves.value[plus]
-    nm, nv = leaves.mask[~plus], leaves.value[~plus]
+    mask, value, label = (a[keep] for a in leaves)
+    plus = label > 0
+    pm, pv, nm, nv = mask[plus], value[plus], mask[~plus], value[~plus]
     # Two leaves of a tree are disjoint, so every +1/-1 pair has a
     # conflicting bit; it meets across x_i when that bit is x_i alone.
     conflict = (pv[:, None] ^ nv) & pm[:, None] & nm
     a, b = np.nonzero((conflict & (conflict - np.uint64(1))) == 0)
     bit = conflict[a, b]
-    # one piece per +1 leaf, then one per meeting pair without its x_i
-    masks = np.concatenate([pm, (pm[a] | nm[b]) & ~bit]) & ~fixed_mask
-    weights = _piece_weights(dist, masks, np.concatenate([pv, pv[a] | nv[b]]))
+    # one piece per +1 leaf, then one per meeting pair, which needs x_i at both bits
+    zero = mask & ~value
+    req0 = np.concatenate([zero[plus], zero[plus][a] | zero[~plus][b]])
+    req1 = np.concatenate([pv, pv[a] | nv[b]])
+    shifts = np.arange(dist.n, dtype=np.uint64)
+    fixed = (((req0 ^ req1)[:, None] >> shifts) & np.uint64(1)) != 0  # a pair's x_i is free
+    ones = ((req1[:, None] >> shifts) & np.uint64(1)) != 0
+    p = np.asarray(dist.biases)
     coords = np.frexp(bit.astype(np.float64))[1] - 1  # exact: bit is a power of two
-    flip = np.bincount(coords, weights=weights[len(pm):], minlength=dist.n)
+    factors = np.where(fixed, np.where(ones, p, 1.0 - p), 1.0)
+    coords = np.concatenate([np.full(len(pm), -1), coords])
+    return Pieces(req0, req1, coords, factors, np.arange(len(req1)))
+
+
+def _piece_summary(
+    dist: ProductDistribution, restriction: Restriction, pieces: Pieces
+) -> SubfunctionSummary:
+    """The summary of the restriction from its node's rows of the piece table."""
+    factors = pieces.factors[pieces.rows]
+    factors[:, list(restriction.coordinates())] = 1.0
+    weights = factors.prod(axis=1)
+    coords = pieces.coord[pieces.rows]
+    plus = int(np.count_nonzero(coords < 0))  # the +1 leaves' rows come first
+    flip = np.bincount(coords[plus:], weights=weights[plus:], minlength=dist.n)
     p = np.asarray(dist.biases)
     return SubfunctionSummary(
-        positive_mass=float(np.sum(weights[:len(pm)])),
+        positive_mass=float(np.sum(weights[:plus])),
         influences=2.0 * p * (1.0 - p) * flip,
         flip_influences=flip,
         labels=None,
-        leaves=leaves,
+        pieces=pieces,
     )
 
 
@@ -309,11 +343,12 @@ def positive_mass(view: SubfunctionView, dist: ProductDistribution) -> float:
 class LeafInfo:
     """What the greedy step needs about one leaf of a bare tree.
 
-    A split derives both children from ``labels`` or ``leaves``, whichever
+    A split derives both children from ``labels`` or ``pieces``, whichever
     the leaf's path keeps (see :class:`SubfunctionSummary`), without
     labeling again.  The live leaves of a bare tree partition the cube, so
     on enumeration they hold 2^n labels together: 2^n bytes with this
-    package's oracles, which label in int8.
+    package's oracles, which label in int8.  On leaf pairs they share one
+    piece table and each holds its own row indices.
     """
 
     restriction: Restriction
@@ -324,7 +359,7 @@ class LeafInfo:
     score: float  # reach * largest influence
     coord: int  # coordinate of the largest influence; -1 with none free
     labels: np.ndarray | None = field(repr=False, compare=False)
-    leaves: CompiledLeaves | None = field(repr=False, compare=False)
+    pieces: Pieces | None = field(repr=False, compare=False)
 
 
 def _leaf(
@@ -332,7 +367,7 @@ def _leaf(
 ) -> LeafInfo:
     reach = dist.reach_probability(restriction)
     if free:
-        best = max(free, key=lambda i: (summary.influences[i], -i))
+        best = free[int(np.argmax(summary.influences[free]))]  # first maximum: lowest tied
         score = reach * float(summary.influences[best])
     else:
         best, score = -1, 0.0
@@ -347,7 +382,7 @@ def _leaf(
         score=score,
         coord=best,
         labels=summary.labels,
-        leaves=summary.leaves,
+        pieces=summary.pieces,
     )
 
 
@@ -364,7 +399,7 @@ def leaf_info(
     _check_budget(len(free))
     leaves = oracle.compiled_leaves()
     if _pairs_fit(leaves, oracle.n):
-        summary = _pair_summary(dist, restriction, leaves)
+        summary = _piece_summary(dist, restriction, _piece_table(dist, restriction, leaves))
     else:
         summary = subfunction_summary(view, dist)
     return _leaf(dist, restriction, free, summary)
@@ -374,28 +409,34 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     """The leaves that splitting ``info`` on ``info.coord`` creates, x = 0
     first, equal to ``leaf_info`` of each child restriction.
 
-    On leaf pairs each child keeps the parent's leaves consistent with it.
-    On enumeration the labels come from the parent's: with the split
-    coordinate at position t of the free coordinates, child b takes the
-    index slice whose bit t is b, which is already in the child's
-    enumeration order, and every free coordinate is reduced again.  Either
-    way no point is labeled again.
+    On leaf pairs child b keeps the parent's rows of the piece table whose
+    piece needs no 1 - b at the split coordinate.  On enumeration the
+    labels come from the parent's: with the split coordinate at position t
+    of the free coordinates, child b takes the index slice whose bit t is
+    b, which is already in the child's enumeration order, and every free
+    coordinate is reduced again.  Either way no point is labeled again.  A
+    leaf with no free coordinate (``coord`` -1) is refused with a
+    ValueError.
     """
+    if info.coord < 0:
+        raise ValueError(f"the leaf at {info.restriction} has no free coordinate to split")
     fixed = info.restriction.coordinates()
     free = [i for i in range(dist.n) if i not in fixed]
     t = free.index(info.coord)
     child_free = free[:t] + free[t + 1:]
-    if info.leaves is not None:
-        children = [info.restriction.extend(info.coord, b) for b in (0, 1)]
+    children = [info.restriction.extend(info.coord, b) for b in (0, 1)]
+    if info.pieces is not None:
+        pieces, bit = info.pieces, np.uint64(1 << info.coord)
+        kept = [pieces.rows[(req[pieces.rows] & bit) == 0] for req in (pieces.req1, pieces.req0)]
         return tuple(
-            _leaf(dist, r, child_free, _pair_summary(dist, r, info.leaves)) for r in children
+            _leaf(dist, r, child_free, _piece_summary(dist, r, pieces._replace(rows=rows)))
+            for r, rows in zip(children, kept)
         )
     weights = _weights(dist, child_free)
     halves = info.labels.reshape(-1, 2, 1 << t)
     return tuple(
-        _leaf(dist, info.restriction.extend(info.coord, b), child_free,
-              _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
-        for b in (0, 1)
+        _leaf(dist, r, child_free, _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
+        for b, r in enumerate(children)
     )
 
 

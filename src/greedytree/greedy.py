@@ -5,8 +5,9 @@ Grows a bare tree from a single leaf.  Each iteration scores every leaf
 highest-scoring leaf on that coordinate, and stops as soon as the
 majority-labeled completion of the current bare tree disagrees with the
 target with probability at most epsilon.  Ties in score break toward the
-lowest leaf identifier, then the lowest coordinate index, so runs are
-reproducible.
+lowest leaf identifier (the live leaves sit in a heap keyed by minus the
+score, then the identifier), then the lowest coordinate index, so runs
+are reproducible.
 
 The returned trace carries, per step, the chosen leaf and coordinate, the
 score, the potential ("cost") before and after the split, and the exact
@@ -17,9 +18,12 @@ Leaves are scored on one of two paths, chosen once per build from the
 target (see :mod:`greedytree.exact`).  A tree target whose ordered
 label-differing leaf pairs times n are at most 2^n is scored over pairs of
 its leaves: no point is labeled, so a ``CountingOracle`` target sees no
-query, and each child keeps its parent's consistent leaves.  Any other
-target is labeled once per build: the root's enumeration labels all 2^n
-points, and each split derives its two children from the parent's labels
+query.  The root builds the build's one piece table (pieces x n x 8 bytes
+of bias factors, kept until the build returns), and each child keeps the
+rows of its parent that one bit test at the split coordinate admits, so
+no child rebuilds a conflict matrix.  Any other target is labeled once
+per build: the root's enumeration labels all 2^n points, and each split
+derives its two children from the parent's labels
 (:func:`greedytree.exact.split_children`), so a ``CountingOracle`` target
 sees exactly 2^n queries.  There the live leaves hold only their labels
 (2^n in all), not codes or weights, and large leaves reduce on the draw
@@ -29,6 +33,7 @@ positive masses already held.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -122,12 +127,16 @@ def build_topdown_exact(
         max_splits = 1 << min(dist.n, 62)
 
     leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction())}
-    cost = sum(info.leaf_cost for info in leaves.values())
+    # kept in the insertion and pop order of ``leaves``, so each sum adds
+    # the same floats in the same order
+    error_mass, leaf_cost = {0: leaves[0].error_mass}, {0: leaves[0].leaf_cost}
+    heap = [(-leaves[0].score, 0)]
+    cost = sum(leaf_cost.values())
     bare = BareTree(BareLeaf(0))
     steps: list[GreedyStep] = []
 
     while True:
-        completion_error = sum(info.error_mass for info in leaves.values())
+        completion_error = sum(error_mass.values())
         if completion_error <= epsilon:
             terminated = True
             break
@@ -135,8 +144,8 @@ def build_topdown_exact(
             terminated = False
             break
 
-        best_id = min(leaves, key=lambda lid: (-leaves[lid].score, lid))
-        best = leaves[best_id]
+        best_id = heapq.heappop(heap)[1]  # the highest score, then the lowest id
+        best = leaves.pop(best_id)
         # error <= cost and all-zero scores force cost = 0, so the guard
         # above must already have fired; a split with score 0 is a bug.
         if best.score <= 0.0:
@@ -145,9 +154,12 @@ def build_topdown_exact(
             )
 
         bare, lo_id, hi_id = split_leaf(bare, best_id, best.coord)
-        leaves[lo_id], leaves[hi_id] = split_children(leaves.pop(best_id), dist)
+        del error_mass[best_id], leaf_cost[best_id]
+        for lid, info in zip((lo_id, hi_id), split_children(best, dist)):
+            leaves[lid], error_mass[lid], leaf_cost[lid] = info, info.error_mass, info.leaf_cost
+            heapq.heappush(heap, (-info.score, lid))
         # also the next step's cost_before: the same sum over the same dict
-        cost_before, cost = cost, sum(info.leaf_cost for info in leaves.values())
+        cost_before, cost = cost, sum(leaf_cost.values())
 
         steps.append(
             GreedyStep(

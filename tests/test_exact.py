@@ -16,6 +16,7 @@ from greedytree import core
 from greedytree.core import (
     BareLeaf,
     BareTree,
+    CompiledLeaves,
     CountingOracle,
     DecisionTree,
     Internal,
@@ -26,6 +27,7 @@ from greedytree.core import (
     TruthTableOracle,
     leaf_paths,
     route,
+    split_leaf,
 )
 from greedytree.greedy import build_topdown_exact
 from greedytree.exact import (
@@ -34,7 +36,8 @@ from greedytree.exact import (
     SubfunctionView,
     _codes,
     _leaf,
-    _pair_summary,
+    _piece_summary,
+    _piece_table,
     _pairs_fit,
     _weights,
     cost,
@@ -47,6 +50,7 @@ from greedytree.exact import (
 )
 from greedytree.targets import (
     generate_balanced_target,
+    generate_path_target,
     generate_random_tree,
     generate_truth_table,
 )
@@ -295,15 +299,21 @@ def same_arrays(a, b) -> bool:
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def node_rows(pieces) -> list:
+    """A node's rows of its piece table, one array per table field."""
+    return [column[pieces.rows] for column in pieces[:-1]]
+
+
 def assert_same_leaf(got: LeafInfo, want: LeafInfo):
     """Every field equal, arrays byte for byte; ``labels`` on enumeration
-    and ``leaves`` on leaf pairs, the other None on both."""
+    and ``pieces`` on leaf pairs, the other None on both.  Two handles are
+    equal when the rows their nodes keep are, whichever table holds them."""
     for f in dataclasses.fields(LeafInfo):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name == "labels" and a is not None:
             assert same_arrays(a, b)
-        elif f.name == "leaves" and a is not None:
-            assert all(same_arrays(x, y) for x, y in zip(a, b, strict=True))
+        elif f.name == "pieces" and a is not None:
+            assert all(same_arrays(x, y) for x, y in zip(node_rows(a), node_rows(b), strict=True))
         else:
             assert a == b, f.name
 
@@ -355,8 +365,8 @@ def random_restriction(n: int, rng) -> Restriction:
 def pair_leaf(oracle, dist, restriction) -> LeafInfo:
     """``leaf_info`` on the leaf-pair path, whichever path the rule names."""
     free = [i for i in range(dist.n) if i not in restriction]
-    summary = _pair_summary(dist, restriction, oracle.compiled_leaves())
-    return _leaf(dist, restriction, free, summary)
+    pieces = _piece_table(dist, restriction, oracle.compiled_leaves())
+    return _leaf(dist, restriction, free, _piece_summary(dist, restriction, pieces))
 
 
 class TestLeafPairs:
@@ -373,7 +383,8 @@ class TestLeafPairs:
         rng = np.random.default_rng(seed)
         for _ in range(4):
             r = random_restriction(inst.dist.n, rng)
-            got = _pair_summary(inst.dist, r, inst.oracle.compiled_leaves())
+            pieces = _piece_table(inst.dist, r, inst.oracle.compiled_leaves())
+            got = _piece_summary(inst.dist, r, pieces)
             want = subfunction_summary(SubfunctionView(inst.oracle, r), inst.dist)
             assert got.positive_mass == pytest.approx(want.positive_mass, rel=1e-12, abs=0)
             for form in ("influences", "flip_influences"):
@@ -395,7 +406,9 @@ class TestLeafPairs:
                 fresh = pair_leaf(inst.oracle, inst.dist, info.restriction.extend(coord, b))
                 assert_same_leaf(child, fresh)
             info = children[int(rng.integers(2))]
-        assert len(info.leaves.label) == 1
+        # one point is left: one +1 piece if it is labeled +1, else none
+        point = np.array([info.restriction.base_code()], dtype=np.uint64)
+        assert len(info.pieces.rows) == int(inst.oracle.label_codes(point)[0] > 0)
 
     def test_rule_compares_pairs_times_n_with_the_enumeration(self):
         # ordered label-differing pairs: 2 for the dictator, 4 for AND2
@@ -414,7 +427,7 @@ class TestLeafPairs:
         dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
         r = Restriction({2: 1})
         enumerated, paired = leaf_info(complete, dist, r), leaf_info(small, dist, r)
-        assert enumerated.leaves is None and complete.queries == 1 << (n - 1)
+        assert enumerated.pieces is None and complete.queries == 1 << (n - 1)
         assert_same_leaf(enumerated, leaf_info(table, dist, r))
         assert paired.labels is None and small.queries == 0
         assert small.inner._table is None
@@ -429,10 +442,10 @@ class TestLeafPairs:
         )
         oracle = TreeOracle(and3, 3)
         dist = ProductDistribution([1e-200, 1e-200, 0.5])
-        summary = _pair_summary(dist, Restriction(), oracle.compiled_leaves())
-        assert summary.flip_influences[2] == 0.0
-        child = _pair_summary(dist, Restriction({0: 1}), summary.leaves)
-        assert child.flip_influences[2] == 1e-200
+        root = pair_leaf(oracle, dist, Restriction())
+        assert _piece_summary(dist, Restriction(), root.pieces).flip_influences[2] == 0.0
+        _, hi = split_children(dataclasses.replace(root, coord=0), dist)
+        assert _piece_summary(dist, hi.restriction, hi.pieces).flip_influences[2] == 1e-200
 
     def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self, monkeypatch):
         monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
@@ -444,6 +457,144 @@ class TestLeafPairs:
             leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction())
         leaf_info(oracle, ProductDistribution([0.5] * 5), Restriction({0: 1}))
         assert oracle.queries == 0
+
+
+def reference_piece_weights(dist, masks, values):
+    """Probability of each subcube {x : x & mask == value & mask}."""
+    shifts = np.arange(dist.n, dtype=np.uint64)
+    fixed = ((masks[:, None] >> shifts) & np.uint64(1)) != 0
+    ones = ((values[:, None] >> shifts) & np.uint64(1)) != 0
+    p = np.asarray(dist.biases)
+    return np.where(fixed, np.where(ones, p, 1.0 - p), 1.0).prod(axis=1)
+
+
+def reference_pair_summary(dist, restriction, leaves):
+    """The conflict-matrix kernel the piece table replaced: every node
+    filters the target's leaves and rebuilds its +1 x -1 conflict matrix."""
+    fixed_mask = np.uint64(sum(1 << i for i in restriction.coordinates()))
+    keep = ((leaves.value ^ np.uint64(restriction.base_code())) & leaves.mask & fixed_mask) == 0
+    leaves = CompiledLeaves(*(a[keep] for a in leaves))
+    plus = leaves.label > 0
+    pm, pv = leaves.mask[plus], leaves.value[plus]
+    nm, nv = leaves.mask[~plus], leaves.value[~plus]
+    conflict = (pv[:, None] ^ nv) & pm[:, None] & nm
+    a, b = np.nonzero((conflict & (conflict - np.uint64(1))) == 0)
+    bit = conflict[a, b]
+    masks = np.concatenate([pm, (pm[a] | nm[b]) & ~bit]) & ~fixed_mask
+    weights = reference_piece_weights(dist, masks, np.concatenate([pv, pv[a] | nv[b]]))
+    coords = np.frexp(bit.astype(np.float64))[1] - 1
+    flip = np.bincount(coords, weights=weights[len(pm):], minlength=dist.n)
+    p = np.asarray(dist.biases)
+    return float(np.sum(weights[:len(pm)])), 2.0 * p * (1.0 - p) * flip, flip
+
+
+def piece_target(kind: str, n: int, rng) -> DecisionTree:
+    if kind == "tree":
+        return generate_random_tree(n, min(n, 6), rng)
+    if kind == "balanced":
+        return generate_balanced_target(min(n, int(rng.integers(1, 7))), n, rng)
+    return generate_path_target(n, rng)
+
+
+def assert_equals_reference(dist, info: LeafInfo, leaves):
+    """The leaf's summary from its rows equals the old kernel's bit for bit."""
+    got = _piece_summary(dist, info.restriction, info.pieces)
+    mass, infl, flip = reference_pair_summary(dist, info.restriction, leaves)
+    assert got.positive_mass == mass == info.mu_plus
+    assert same_arrays(got.influences, infl)
+    assert same_arrays(got.flip_influences, flip)
+
+
+PIECE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(["tree", "balanced", "path"]),
+    bias=st.sampled_from(sorted(SPLIT_BIASES)),
+)
+
+
+class TestPieceTable:
+    """Summaries read from one piece table equal the conflict-matrix kernel
+    bit for bit, and the builder's choices keep their tie rules."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**PIECE_CASES)
+    def test_every_node_of_a_build_equals_the_old_kernel(self, seed, n, kind, bias):
+        rng = np.random.default_rng(seed)
+        oracle = TreeOracle(piece_target(kind, n, rng), n)
+        dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
+        result = build_topdown_exact(oracle, dist, epsilon=0.01, max_splits=64)
+        # the build's splits, replayed on leaf pairs whichever path it took
+        live = [(result.bare.root, pair_leaf(oracle, dist, Restriction()))]
+        while live:
+            node, info = live.pop()
+            assert_equals_reference(dist, info, oracle.compiled_leaves())
+            if isinstance(node, Internal):
+                lo, hi = split_children(dataclasses.replace(info, coord=node.var), dist)
+                live += [(node.lo, lo), (node.hi, hi)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(**PIECE_CASES)
+    def test_split_chains_down_to_points_equal_the_old_kernel(self, seed, n, kind, bias):
+        rng = np.random.default_rng(seed)
+        oracle = TreeOracle(piece_target(kind, n, rng), n)
+        dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
+        info = pair_leaf(oracle, dist, Restriction())
+        assert_equals_reference(dist, info, oracle.compiled_leaves())
+        while len(info.restriction) < n:
+            free = [i for i in range(n) if i not in info.restriction]
+            children = split_children(dataclasses.replace(info, coord=int(rng.choice(free))), dist)
+            for child in children:
+                assert_equals_reference(dist, child, oracle.compiled_leaves())
+            info = children[int(rng.integers(2))]
+
+    @pytest.mark.parametrize("n", [3, 8])  # enumeration at 3, leaf pairs at 8
+    def test_tied_scores_go_to_the_lowest_leaf_id(self, n):
+        parity3 = DecisionTree(Internal(0, *(
+            Internal(1, Internal(2, Leaf(s), Leaf(-s)), Internal(2, Leaf(-s), Leaf(s)))
+            for s in (-1, 1)
+        )))
+        oracle = TreeOracle(parity3, n)
+        assert _pairs_fit(oracle.compiled_leaves(), n) == (n == 8)
+        dist = ProductDistribution([0.5] * n)
+        result = build_topdown_exact(oracle, dist, epsilon=0.01)
+        live = {0: leaf_info(oracle, dist, Restriction())}
+        bare, ties = BareTree(BareLeaf(0)), 0
+        for step in result.steps:
+            best = min(live, key=lambda lid: (-live[lid].score, lid))
+            info = live.pop(best)
+            ties += any(other.score == info.score for other in live.values())
+            assert (step.leaf_id, step.coord, step.score) == (best, info.coord, info.score)
+            bare, lo, hi = split_leaf(bare, best, info.coord)
+            live[lo], live[hi] = split_children(info, dist)
+        assert result.terminated and result.bare == bare
+        assert ties >= 3
+
+    @pytest.mark.parametrize("kind", ["tree", "table"])
+    def test_all_zero_free_influences_pick_the_lowest_free_coordinate(self, kind):
+        # AND2 is -1 wherever x0 = 0: every influence there is 0, the fixed x0's too
+        n = 4
+        oracle = TreeOracle(AND2, n)
+        assert _pairs_fit(oracle.compiled_leaves(), n)
+        if kind == "table":
+            oracle = TruthTableOracle(oracle.label_codes(np.arange(1 << n, dtype=np.uint64)))
+        dist = ProductDistribution([0.3, 0.6, 0.2, 0.7])
+        for fixed, lowest in (({0: 0}, 1), ({0: 0, 1: 1}, 2), ({0: 0, 2: 1}, 1)):
+            info = leaf_info(oracle, dist, Restriction(fixed))
+            assert (info.coord, info.score, info.leaf_cost) == (lowest, 0.0, 0.0)
+            assert (info.pieces is None) == (kind == "table")
+
+    @pytest.mark.parametrize("kind", ["tree", "table"])
+    def test_leaf_with_no_free_coordinate_refuses_to_split(self, kind):
+        dictator = TreeOracle(DecisionTree(Internal(0, Leaf(-1), Leaf(1))), 1)
+        oracle = dictator if kind == "tree" else TruthTableOracle(np.array([-1, 1]))
+        dist = ProductDistribution([0.3])
+        fixed = leaf_info(oracle, dist, Restriction({0: 1}))
+        child, _ = split_children(leaf_info(oracle, dist, Restriction()), dist)
+        for info in (fixed, child):
+            assert info.coord == -1 and (info.pieces is None) == (kind == "table")
+            with pytest.raises(ValueError, match="has no free coordinate to split"):
+                split_children(info, dist)
 
 
 class TestPairlessCoordinates:

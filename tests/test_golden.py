@@ -21,7 +21,12 @@ import pytest
 
 from greedytree.cli import main
 from greedytree.core import ProductDistribution, serialize_distribution, serialize_tree
-from greedytree.targets import generate_random_tree
+from greedytree.greedy import build_topdown_exact
+from greedytree.targets import (
+    generate_balanced_target,
+    generate_path_target,
+    generate_random_tree,
+)
 
 GRID_CONFIG = {
     "experiment": "size-vs-epsilon",
@@ -114,3 +119,26 @@ def test_props_csv_digest(tmp_path):
     out = tmp_path / "props.csv"
     assert main(["props", "--seed", "0", "--count", "60", "--out", str(out)]) == 0
     assert _sha(out) == PROPS_CSV_SHA
+
+
+def _exact_corpus():
+    """42 seeded exact builds: n = 4..21, balanced (depth 3..6) and path
+    targets, biases 0.5, 0.3 and 0.1, so both scoring paths run."""
+    for k in range(42):
+        n = 4 + k % 18
+        rng = np.random.default_rng(2800 + k)
+        if k % 2:
+            target = generate_path_target(n, rng)
+        else:
+            target = generate_balanced_target(min(3 + k % 4, n), n, rng)
+        dist = ProductDistribution([(0.5, 0.3, 0.1)[k % 3]] * n)
+        yield build_topdown_exact(target, dist, epsilon=0.01)
+
+
+EXACT_CORPUS_SHA = "e9898814ee1c5f69d58b12e61d87035af2ed23a91f06193053f6639b15cff90c"
+
+
+def test_exact_corpus_digest():
+    """Every tree, step and float of these builds, byte for byte."""
+    reprs = "\n".join(repr(result) for result in _exact_corpus())
+    assert _sha_bytes(reprs.encode()) == EXACT_CORPUS_SHA
