@@ -28,6 +28,7 @@ and starts its own.
 
 from __future__ import annotations
 
+import bisect
 import json
 import operator
 import os
@@ -245,9 +246,18 @@ class Restriction:
         return len(self.fixed)
 
     def extend(self, coordinate: int, bit: int) -> "Restriction":
-        if coordinate in self:
+        """This restriction with ``coordinate`` fixed to ``bit``: the pair is
+        inserted in order, and the pairs already fixed are not checked again."""
+        k = bisect.bisect(self.fixed, (coordinate,))  # (i,) sorts before (i, 0)
+        if k < len(self.fixed) and self.fixed[k][0] == coordinate:
             raise ValueError(f"coordinate {coordinate} already fixed")
-        return Restriction(dict(self.fixed) | {coordinate: bit})
+        if coordinate < 0:
+            raise ValueError(f"negative coordinate {coordinate}")
+        if bit not in (0, 1):
+            raise ValueError(f"bit for coordinate {coordinate} must be 0 or 1, got {bit!r}")
+        out = object.__new__(Restriction)
+        object.__setattr__(out, "fixed", self.fixed[:k] + ((coordinate, bit),) + self.fixed[k:])
+        return out
 
     def base_code(self) -> int:
         """Packed code with the fixed bits set and every free bit 0."""

@@ -51,10 +51,15 @@ per +1 leaf, then a row per meeting pair, each holding the bits the piece
 needs at 0 and at 1, its coordinate, and its bias factor on every
 coordinate (1.0 where the piece leaves it free).  A node's summary gathers
 its rows, sets the restriction's columns to 1.0 and multiplies along each
-row.  A child filters its parent's rows with one bit: child b keeps the
-rows that need no 1 - b at the split coordinate, so a pair meeting there
-leaves both children.  The table's factors take pieces x n x 8 bytes and
-are kept, shared by every node, for one build.
+row.  A split does that once for both children: it gathers the parent's
+rows, sets the child restriction's columns to 1.0, which the two children
+share, and takes one product.  Child b then keeps the rows that need no
+1 - b at the split coordinate, so a pair meeting there leaves both, and
+reads their weights from that product.  This is exact: numpy multiplies
+along a row in order, so a row's product does not depend on which
+gathered block holds it.  The table's factors take pieces x n x 8 bytes
+and are kept, shared by every node, for one build; building them holds
+one more byte per piece and coordinate at its peak.
 
 The path is chosen once per build, from the target: leaf pairs when its
 ordered label-differing leaf pairs times n is at most 2^n, the size of the
@@ -75,6 +80,7 @@ target), which took about 1.2-1.5 s, against 1.6-1.7 s on one thread, and
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -150,6 +156,8 @@ class Pieces(NamedTuple):
     req1: np.ndarray  # uint64: the bits the piece needs at 1, a pair's x_coord too
     coord: np.ndarray  # int64
     factors: np.ndarray  # float64, pieces x n: p or 1 - p on the piece's bits, else 1.0
+    plus: int  # how many +1 rows the table has
+    two_pq: np.ndarray  # float64, n: 2 p (1 - p), the re-randomization factor
     rows: np.ndarray  # int64, ascending: this node's rows
 
 
@@ -212,7 +220,7 @@ class SubfunctionSummary:
 
     @property
     def total_influence(self) -> float:
-        return float(np.sum(self.influences))
+        return float(self.influences.sum())
 
 
 def _summarize(
@@ -279,6 +287,13 @@ def _pairs_fit(leaves: CompiledLeaves | None, n: int) -> bool:
     return 2 * plus * (len(leaves.label) - plus) * n <= 1 << n
 
 
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Bit i of each word as column i of a (words x n) bool matrix, unpacked
+    from the words' bytes, so no uint64 (words x n) temporary is made."""
+    lanes = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(lanes, axis=1, count=n, bitorder="little").view(bool)
+
+
 def _piece_table(
     dist: ProductDistribution, restriction: Restriction, leaves: CompiledLeaves
 ) -> Pieces:
@@ -298,34 +313,35 @@ def _piece_table(
     zero = mask & ~value
     req0 = np.concatenate([zero[plus], zero[plus][a] | zero[~plus][b]])
     req1 = np.concatenate([pv, pv[a] | nv[b]])
-    shifts = np.arange(dist.n, dtype=np.uint64)
-    fixed = (((req0 ^ req1)[:, None] >> shifts) & np.uint64(1)) != 0  # a pair's x_i is free
-    ones = ((req1[:, None] >> shifts) & np.uint64(1)) != 0
     p = np.asarray(dist.biases)
+    # built in place: the peak holds one float matrix and one bool matrix
+    factors = np.where(_bits(req1, dist.n), p, 1.0 - p)
+    factors[_bits(~(req0 ^ req1), dist.n)] = 1.0  # free, and a pair's x_i
     coords = np.frexp(bit.astype(np.float64))[1] - 1  # exact: bit is a power of two
-    factors = np.where(fixed, np.where(ones, p, 1.0 - p), 1.0)
     coords = np.concatenate([np.full(len(pm), -1), coords])
-    return Pieces(req0, req1, coords, factors, np.arange(len(req1)))
+    return Pieces(req0, req1, coords, factors, len(pm), 2.0 * p * (1.0 - p), np.arange(len(req1)))
 
 
-def _piece_summary(
-    dist: ProductDistribution, restriction: Restriction, pieces: Pieces
-) -> SubfunctionSummary:
-    """The summary of the restriction from its node's rows of the piece table."""
+def _row_weights(pieces: Pieces, restriction: Restriction) -> np.ndarray:
+    """The weight of each of the node's rows in the restriction's region:
+    the product along its factors, the restriction's columns set to 1.0."""
     factors = pieces.factors[pieces.rows]
-    factors[:, list(restriction.coordinates())] = 1.0
-    weights = factors.prod(axis=1)
-    coords = pieces.coord[pieces.rows]
-    plus = int(np.count_nonzero(coords < 0))  # the +1 leaves' rows come first
-    flip = np.bincount(coords[plus:], weights=weights[plus:], minlength=dist.n)
-    p = np.asarray(dist.biases)
-    return SubfunctionSummary(
-        positive_mass=float(np.sum(weights[:plus])),
-        influences=2.0 * p * (1.0 - p) * flip,
-        flip_influences=flip,
-        labels=None,
-        pieces=pieces,
+    factors[:, [i for i, _ in restriction.items()]] = 1.0
+    return factors.prod(axis=1)
+
+
+def _tally(pieces: Pieces, weights: np.ndarray) -> SubfunctionSummary:
+    """The summary of a node from the weights of its rows."""
+    plus = pieces.rows.searchsorted(pieces.plus)  # the +1 rows come first
+    flip = np.bincount(
+        pieces.coord[pieces.rows[plus:]], weights=weights[plus:], minlength=len(pieces.two_pq)
     )
+    return SubfunctionSummary(float(weights[:plus].sum()), pieces.two_pq * flip, flip, None, pieces)
+
+
+def _piece_summary(restriction: Restriction, pieces: Pieces) -> SubfunctionSummary:
+    """The summary of the restriction from its node's rows of the piece table."""
+    return _tally(pieces, _row_weights(pieces, restriction))
 
 
 def positive_mass(view: SubfunctionView, dist: ProductDistribution) -> float:
@@ -363,11 +379,16 @@ class LeafInfo:
 
 
 def _leaf(
-    dist: ProductDistribution, restriction: Restriction, free: list[int], summary: SubfunctionSummary
+    dist: ProductDistribution,
+    restriction: Restriction,
+    free: list[int] | np.ndarray,
+    summary: SubfunctionSummary,
 ) -> LeafInfo:
+    """The one place a leaf's reach, score, coordinate, error mass and cost
+    are computed; ``free`` lists the free coordinates in ascending order."""
     reach = dist.reach_probability(restriction)
-    if free:
-        best = free[int(np.argmax(summary.influences[free]))]  # first maximum: lowest tied
+    if len(free):
+        best = int(free[summary.influences[free].argmax()])  # first maximum: lowest tied
         score = reach * float(summary.influences[best])
     else:
         best, score = -1, 0.0
@@ -399,7 +420,7 @@ def leaf_info(
     _check_budget(len(free))
     leaves = oracle.compiled_leaves()
     if _pairs_fit(leaves, oracle.n):
-        summary = _piece_summary(dist, restriction, _piece_table(dist, restriction, leaves))
+        summary = _piece_summary(restriction, _piece_table(dist, restriction, leaves))
     else:
         summary = subfunction_summary(view, dist)
     return _leaf(dist, restriction, free, summary)
@@ -409,33 +430,38 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     """The leaves that splitting ``info`` on ``info.coord`` creates, x = 0
     first, equal to ``leaf_info`` of each child restriction.
 
-    On leaf pairs child b keeps the parent's rows of the piece table whose
-    piece needs no 1 - b at the split coordinate.  On enumeration the
-    labels come from the parent's: with the split coordinate at position t
-    of the free coordinates, child b takes the index slice whose bit t is
-    b, which is already in the child's enumeration order, and every free
-    coordinate is reduced again.  Either way no point is labeled again.  A
-    leaf with no free coordinate (``coord`` -1) is refused with a
-    ValueError.
+    On leaf pairs one product over the parent's rows of the piece table,
+    with the child restriction's columns set to 1.0, weighs both children
+    (see the module docstring); child b keeps the rows whose piece needs no
+    1 - b at the split coordinate.  On enumeration the labels come from the
+    parent's: with the split coordinate at position t of the free
+    coordinates, child b takes the index slice whose bit t is b, which is
+    already in the child's enumeration order, and every free coordinate is
+    reduced again.  Either way no point is labeled again, and the children
+    share one list of free coordinates.  A leaf with no free coordinate
+    (``coord`` -1) is refused with a ValueError.
     """
     if info.coord < 0:
         raise ValueError(f"the leaf at {info.restriction} has no free coordinate to split")
-    fixed = info.restriction.coordinates()
-    free = [i for i in range(dist.n) if i not in fixed]
-    t = free.index(info.coord)
-    child_free = free[:t] + free[t + 1:]
+    fixed = info.restriction.coordinates() | {info.coord}
+    child_free = [i for i in range(dist.n) if i not in fixed]
+    free = np.array(child_free, dtype=np.intp)
     children = [info.restriction.extend(info.coord, b) for b in (0, 1)]
     if info.pieces is not None:
         pieces, bit = info.pieces, np.uint64(1 << info.coord)
-        kept = [pieces.rows[(req[pieces.rows] & bit) == 0] for req in (pieces.req1, pieces.req0)]
+        # both children reset the same columns, and a row's product is the
+        # same in any block that holds it: one product serves both
+        weights = _row_weights(pieces, children[0])
+        kept = [(req[pieces.rows] & bit) == 0 for req in (pieces.req1, pieces.req0)]
         return tuple(
-            _leaf(dist, r, child_free, _piece_summary(dist, r, pieces._replace(rows=rows)))
-            for r, rows in zip(children, kept)
+            _leaf(dist, r, free, _tally(pieces._replace(rows=pieces.rows[k]), weights[k]))
+            for r, k in zip(children, kept)
         )
+    t = bisect.bisect(child_free, info.coord)  # its position among the parent's free
     weights = _weights(dist, child_free)
     halves = info.labels.reshape(-1, 2, 1 << t)
     return tuple(
-        _leaf(dist, r, child_free, _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
+        _leaf(dist, r, free, _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
         for b, r in enumerate(children)
     )
 

@@ -19,11 +19,12 @@ target (see :mod:`greedytree.exact`).  A tree target whose ordered
 label-differing leaf pairs times n are at most 2^n is scored over pairs of
 its leaves: no point is labeled, so a ``CountingOracle`` target sees no
 query.  The root builds the build's one piece table (pieces x n x 8 bytes
-of bias factors, kept until the build returns), and each child keeps the
-rows of its parent that one bit test at the split coordinate admits, so
-no child rebuilds a conflict matrix.  Any other target is labeled once
-per build: the root's enumeration labels all 2^n points, and each split
-derives its two children from the parent's labels
+of bias factors, kept until the build returns).  A split takes one product
+over the parent's rows, and each child keeps the rows that one bit test at
+the split coordinate admits, with their weights from that product, so no
+child rebuilds a conflict matrix or multiplies rows of its own.  Any other
+target is labeled once per build: the root's enumeration labels all 2^n
+points, and each split derives its two children from the parent's labels
 (:func:`greedytree.exact.split_children`), so a ``CountingOracle`` target
 sees exactly 2^n queries.  There the live leaves hold only their labels
 (2^n in all), not codes or weights, and large leaves reduce on the draw

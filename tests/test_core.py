@@ -245,6 +245,31 @@ class TestRestriction:
         with pytest.raises(ValueError):
             Restriction({1: 0}).extend(1, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fixed=st.dictionaries(st.integers(0, 70), st.integers(0, 1), max_size=12),
+        coordinate=st.integers(0, 70),
+        bit=st.integers(0, 1),
+    )
+    def test_extend_equals_the_constructor(self, fixed, coordinate, bit):
+        r = Restriction(fixed)
+        if coordinate in fixed:
+            with pytest.raises(ValueError, match="already fixed"):
+                r.extend(coordinate, bit)
+            return
+        got, want = r.extend(coordinate, bit), Restriction(dict(r.fixed) | {coordinate: bit})
+        assert got == want and got.fixed == want.fixed and hash(got) == hash(want)
+        assert got.base_code() == want.base_code() and r.fixed == tuple(sorted(fixed.items()))
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5, None])
+    def test_extend_refuses_a_bit_outside_zero_one(self, bit):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Restriction({1: 0, 4: 1}).extend(2, bit)
+
+    def test_extend_refuses_a_negative_coordinate(self):
+        with pytest.raises(ValueError, match="negative coordinate"):
+            Restriction({1: 0}).extend(-1, 1)
+
     def test_path_restriction_matches_queries(self):
         paths = dict()
         for r, leaf in leaf_paths(DEPTH2):

@@ -7,6 +7,7 @@ probability Pr[f(x) != f(x')] over every point and every redrawn bit.
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,8 +301,10 @@ def same_arrays(a, b) -> bool:
 
 
 def node_rows(pieces) -> list:
-    """A node's rows of its piece table, one array per table field."""
-    return [column[pieces.rows] for column in pieces[:-1]]
+    """A node's rows of its piece table, one array per row field, then the
+    table's 2 p (1 - p) column, which every node reads whole."""
+    rows = [getattr(pieces, name)[pieces.rows] for name in ("req0", "req1", "coord", "factors")]
+    return rows + [pieces.two_pq]
 
 
 def assert_same_leaf(got: LeafInfo, want: LeafInfo):
@@ -366,7 +369,7 @@ def pair_leaf(oracle, dist, restriction) -> LeafInfo:
     """``leaf_info`` on the leaf-pair path, whichever path the rule names."""
     free = [i for i in range(dist.n) if i not in restriction]
     pieces = _piece_table(dist, restriction, oracle.compiled_leaves())
-    return _leaf(dist, restriction, free, _piece_summary(dist, restriction, pieces))
+    return _leaf(dist, restriction, free, _piece_summary(restriction, pieces))
 
 
 class TestLeafPairs:
@@ -384,7 +387,7 @@ class TestLeafPairs:
         for _ in range(4):
             r = random_restriction(inst.dist.n, rng)
             pieces = _piece_table(inst.dist, r, inst.oracle.compiled_leaves())
-            got = _piece_summary(inst.dist, r, pieces)
+            got = _piece_summary(r, pieces)
             want = subfunction_summary(SubfunctionView(inst.oracle, r), inst.dist)
             assert got.positive_mass == pytest.approx(want.positive_mass, rel=1e-12, abs=0)
             for form in ("influences", "flip_influences"):
@@ -443,9 +446,9 @@ class TestLeafPairs:
         oracle = TreeOracle(and3, 3)
         dist = ProductDistribution([1e-200, 1e-200, 0.5])
         root = pair_leaf(oracle, dist, Restriction())
-        assert _piece_summary(dist, Restriction(), root.pieces).flip_influences[2] == 0.0
+        assert _piece_summary(Restriction(), root.pieces).flip_influences[2] == 0.0
         _, hi = split_children(dataclasses.replace(root, coord=0), dist)
-        assert _piece_summary(dist, hi.restriction, hi.pieces).flip_influences[2] == 1e-200
+        assert _piece_summary(hi.restriction, hi.pieces).flip_influences[2] == 1e-200
 
     def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self, monkeypatch):
         monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
@@ -498,7 +501,7 @@ def piece_target(kind: str, n: int, rng) -> DecisionTree:
 
 def assert_equals_reference(dist, info: LeafInfo, leaves):
     """The leaf's summary from its rows equals the old kernel's bit for bit."""
-    got = _piece_summary(dist, info.restriction, info.pieces)
+    got = _piece_summary(info.restriction, info.pieces)
     mass, infl, flip = reference_pair_summary(dist, info.restriction, leaves)
     assert got.positive_mass == mass == info.mu_plus
     assert same_arrays(got.influences, infl)
@@ -595,6 +598,82 @@ class TestPieceTable:
             assert info.coord == -1 and (info.pieces is None) == (kind == "table")
             with pytest.raises(ValueError, match="has no free coordinate to split"):
                 split_children(info, dist)
+
+    def test_table_build_peaks_near_what_it_keeps(self):
+        """The bound: a table keeps 8n bytes of factors a piece and 32 of
+        other columns.  Building it holds on top one bool (pieces x n)
+        matrix, n bytes a piece, and a few 8-byte columns, so at n = 64 its
+        traced peak is about (9n + 32 + 8k) / (8n + 32) = 1.12 + 0.015k of
+        what it keeps, for k such columns (1.17 measured).  Bit matrices
+        taken from uint64 shifts add 8n bytes a piece each (2.2x)."""
+        n = 64
+        leaves = TreeOracle(
+            generate_balanced_target(10, n, np.random.default_rng(0)), n
+        ).compiled_leaves()
+        dist = ProductDistribution([0.1] * n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = _piece_table(dist, Restriction(), leaves)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in table if isinstance(a, np.ndarray))
+        assert len(table.rows) == 159_965 and table.factors.nbytes == 159_965 * n * 8
+        assert peak <= 1.25 * kept
+        # the factors are those of the bit tests on uint64 shifts, byte for byte
+        shifts, p = np.arange(n, dtype=np.uint64), np.asarray(dist.biases)
+        for rows in np.array_split(table.rows, 16):
+            fixed = (((table.req0 ^ table.req1)[rows, None] >> shifts) & np.uint64(1)) != 0
+            ones = ((table.req1[rows, None] >> shifts) & np.uint64(1)) != 0
+            want = np.where(fixed, np.where(ones, p, 1.0 - p), 1.0)
+            assert same_arrays(table.factors[rows], want)
+
+
+class TestOnePassSplit:
+    """Both children of a split come from one product over the parent's
+    rows, yet equal fresh leaves field for field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**PIECE_CASES)
+    def test_split_chains_down_to_points_equal_fresh_leaf_info(self, seed, n, kind, bias):
+        rng = np.random.default_rng(seed)
+        oracle = TreeOracle(piece_target(kind, n, rng), n)
+        dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
+        info = leaf_info(oracle, dist, Restriction())
+        while len(info.restriction) < n:
+            free = [i for i in range(n) if i not in info.restriction]
+            coord = int(rng.choice(free))
+            children = split_children(dataclasses.replace(info, coord=coord), dist)
+            for b, child in enumerate(children):
+                fixed = dict(info.restriction.fixed) | {coord: b}
+                assert_same_leaf(child, leaf_info(oracle, dist, Restriction(fixed)))
+            info = children[int(rng.integers(2))]
+        assert info.coord == -1 and info.score == 0.0
+
+    @pytest.mark.parametrize("kind", ["tree", "table"])
+    def test_tied_child_influences_pick_the_lowest_free_coordinate(self, kind):
+        # the parity of x1, x2, x3: split on any one of them, and the other
+        # two tie in both children, with x0 free below them at influence 0
+        n = 8
+        parity = DecisionTree(Internal(1, *(
+            Internal(2, Internal(3, Leaf(s), Leaf(-s)), Internal(3, Leaf(-s), Leaf(s)))
+            for s in (-1, 1)
+        )))
+        oracle = TreeOracle(parity, n)
+        assert _pairs_fit(oracle.compiled_leaves(), n)
+        if kind == "table":
+            oracle = TruthTableOracle(oracle.label_codes(np.arange(1 << n, dtype=np.uint64)))
+        dist = ProductDistribution([0.5] * n)
+        root = leaf_info(oracle, dist, Restriction())
+        assert root.coord == 1
+        for coord in (1, 2, 3):
+            tied = [i for i in (1, 2, 3) if i != coord]
+            for child in split_children(dataclasses.replace(root, coord=coord), dist):
+                infl = subfunction_summary(SubfunctionView(oracle, child.restriction), dist).influences
+                assert infl[tied[0]] == infl[tied[1]] > 0.0 == infl[0]
+                assert child.coord == tied[0] and child.score == child.reach * infl[tied[0]]
+                assert (child.pieces is None) == (kind == "table")
 
 
 class TestPairlessCoordinates:

@@ -142,3 +142,20 @@ def test_exact_corpus_digest():
     """Every tree, step and float of these builds, byte for byte."""
     reprs = "\n".join(repr(result) for result in _exact_corpus())
     assert _sha_bytes(reprs.encode()) == EXACT_CORPUS_SHA
+
+
+N64_SHA = "49279b016d44eccdba049d5a9231aeb98bba3d5c03993c369bc751bbed416839"
+
+
+def test_exact_n64_digest(monkeypatch):
+    """One leaf-pair build at n = 64, past the corpus's n = 21: a depth-8
+    balanced target at biases drawn from [0.05, 0.5), 851 splits.  The
+    enumeration cap, which ``leaf_info`` applies on both paths, is raised
+    for this build only: leaf pairs enumerate no point."""
+    monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 64)
+    rng = np.random.default_rng(2)
+    target = generate_balanced_target(8, 64, rng)
+    dist = ProductDistribution(rng.uniform(0.05, 0.5, 64))
+    result = build_topdown_exact(target, dist, epsilon=0.01)
+    assert result.splits == 851
+    assert _sha_bytes(repr(result).encode()) == N64_SHA
