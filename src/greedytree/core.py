@@ -14,10 +14,12 @@ for vectorized bulk work.
 
 Two walks serve every structural query: ``_leaves`` reads a tree into its
 (path, leaf) pairs, and ``_map_leaves`` rebuilds it with each leaf replaced.
-Routing has a third, ``route_groups``, read by ``route_codes`` and sampling.
-A bare tree keeps its leaves' paths by identifier and hands out new
-leaves' identifiers, so ``split_leaf`` rebuilds only the nodes above the
-leaf it splits.
+``route_codes`` answers a tree that queries only bits below 16 from a table
+of leaf values that each tree object fills once, on first use, with the
+filler of ``TreeOracle``'s label table; a wider tree is routed by a third
+walk, ``route_groups``.  A bare tree keeps its leaves' paths by identifier
+and hands out new leaves' identifiers, so ``split_leaf`` rebuilds only the
+nodes above the leaf it splits.
 
 Large draws run on worker threads, one per CPU, in a module-private pool
 started by the first such draw.  The threads only fill disjoint slices of
@@ -120,13 +122,16 @@ class ProductDistribution:
     def reach_probability(self, restriction: "Restriction") -> float:
         """Probability that a random point agrees with ``restriction``.
 
-        The empty restriction has probability 1.
+        The empty restriction has probability 1.  The factors multiply in
+        ascending coordinate order.
         """
+        fixed, biases = restriction.fixed, self.biases
+        if fixed and fixed[-1][0] >= len(biases):  # sorted, and never negative
+            first = fixed[bisect.bisect(fixed, (len(biases),))][0]
+            raise ValueError(f"coordinate {first} out of range for n={len(biases)}")
         prob = 1.0
-        for i, b in restriction.items():
-            if not 0 <= i < self.n:
-                raise ValueError(f"coordinate {i} out of range for n={self.n}")
-            prob *= self.biases[i] if b else 1.0 - self.biases[i]
+        for i, b in fixed:
+            prob *= biases[i] if b else 1.0 - biases[i]
         return prob
 
     def draw_codes(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -350,9 +355,13 @@ def _validate(root: Node, want_bare: bool) -> dict[int, _LeafPath]:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Labeled binary query tree; no variable repeats on any path."""
+    """Labeled binary query tree; no variable repeats on any path.
+
+    ``_route_table`` caches :func:`route_codes`' table of leaf labels.
+    """
 
     root: Node
+    _route_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate(self.root, want_bare=False)
@@ -365,12 +374,14 @@ class BareTree:
     ``_paths`` holds each leaf's path by its identifier, so that
     :func:`split_leaf` finds and checks a split without walking the tree.
     ``_next_id`` exceeds every identifier the tree has held; each split
-    takes the next two.
+    takes the next two.  ``_route_table`` caches :func:`route_codes`'
+    table of leaf identifiers.
     """
 
     root: Node
     _paths: dict[int, _LeafPath] = field(init=False, repr=False, compare=False)
     _next_id: int = field(init=False, repr=False, compare=False)
+    _route_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_paths", _validate(self.root, want_bare=True))
@@ -466,6 +477,11 @@ def label_leaves(bare: BareTree, labels: Mapping[int, int]) -> DecisionTree:
 # ---------------------------------------------------------------------------
 
 
+def _leaf_value(leaf: Node) -> int:
+    """What routing returns for ``leaf``: its label, or its identifier."""
+    return leaf.label if isinstance(leaf, Leaf) else leaf.id
+
+
 def route(tree: Tree, x: Sequence[int]) -> int:
     """Follow ``x`` from the root; returns the leaf label (labeled tree) or
     the leaf identifier (bare tree).
@@ -478,7 +494,7 @@ def route(tree: Tree, x: Sequence[int]) -> int:
         if node.var >= len(x):
             raise ValueError(f"point has {len(x)} coordinates, tree queries x_{node.var}")
         node = node.hi if x[node.var] else node.lo
-    return node.label if isinstance(node, Leaf) else node.id
+    return _leaf_value(node)
 
 
 def route_groups(tree: Tree, codes: np.ndarray) -> Iterator[tuple[Node, np.ndarray]]:
@@ -497,12 +513,37 @@ def route_groups(tree: Tree, codes: np.ndarray) -> Iterator[tuple[Node, np.ndarr
             yield node, idx
 
 
+# A tree whose queried bits all lie below this one is routed by a table of
+# at most 2^16 entries, as many as one slice of the practical builder has
+# codes (``sampling._SLICE``), so filling it costs no more than routing one.
+_ROUTE_TABLE_BITS = 16
+_WALK = np.empty(0, dtype=np.int64)  # cached in place of a table on a wider tree
+
+
 def route_codes(tree: Tree, codes: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`route` over packed codes; returns int64 labels/ids."""
-    out = np.empty(len(codes), dtype=np.int64)
-    for leaf, idx in route_groups(tree, codes):
-        out[idx] = leaf.label if isinstance(leaf, Leaf) else leaf.id
-    return out
+    """Vectorized :func:`route` over packed codes; returns int64 labels/ids.
+
+    Let m be one more than the largest variable the tree queries.  When
+    m <= 16, the first call fills a table of the 2^m leaf values by code,
+    cached on the tree object, and every call answers with one lookup of
+    each code's low m bits.  A wider tree walks :func:`route_groups`.
+    """
+    table = tree._route_table
+    if table is None:
+        if isinstance(tree, BareTree):  # its paths are kept: no walk
+            leaves = [(path, leaf_id) for leaf_id, path in tree._paths.items()]
+        else:
+            leaves = [(path, leaf.label) for path, leaf in _leaves(tree.root)]
+        m = 1 + max((v for path, _ in leaves for v, _ in path), default=-1)
+        table = _fill_table(leaves, m, np.int64) if m <= _ROUTE_TABLE_BITS else _WALK
+        object.__setattr__(tree, "_route_table", table)
+    if table is _WALK:
+        out = np.empty(len(codes), dtype=np.int64)
+        for leaf, idx in route_groups(tree, codes):
+            out[idx] = _leaf_value(leaf)
+        return out
+    low = np.asarray(codes, dtype=np.uint64) & np.uint64(len(table) - 1)
+    return table.take(low.view(np.int64))
 
 
 def pack_bits(bits: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
@@ -580,8 +621,10 @@ class TreeOracle(TargetOracle):
     For n <= ``TABLE_MAX_COORDS`` the first ``label_codes`` call fills the
     target's dense +/-1 table (at most 2^24 bytes) from the tree's leaf
     paths, and every call then answers by indexing a
-    :class:`TruthTableOracle`; larger n routes each code through the tree.
-    The table is built lazily, so constructing an oracle stays cheap.  It is
+    :class:`TruthTableOracle`.  Larger n labels with :func:`route_codes`,
+    which fills its own table of labels with the same filler when the tree
+    queries no bit from 16 up, and walks the tree otherwise.  The tables
+    are built lazily, so constructing an oracle stays cheap.  It is
     the oracle's own evaluation: a label query is still one code passed to
     ``label_codes``, which is all a :class:`CountingOracle` or a builder's
     query count sees.
@@ -604,7 +647,8 @@ class TreeOracle(TargetOracle):
         if self.n > TABLE_MAX_COORDS:
             return route_codes(self.tree, codes).astype(np.int8)
         if self._table is None:
-            self._table = TruthTableOracle(_fill_table(self.tree, self.n))
+            leaves = [(path, leaf.label) for path, leaf in _leaves(self.tree.root)]
+            self._table = TruthTableOracle(_fill_table(leaves, self.n, np.int8))
         return self._table.label_codes(codes)
 
     def compiled_leaves(self) -> CompiledLeaves:
@@ -613,18 +657,21 @@ class TreeOracle(TargetOracle):
         return self._leaves
 
 
-def _fill_table(tree: DecisionTree, n: int) -> np.ndarray:
-    """Dense label table indexed by packed code, one sub-cube per leaf.
+def _fill_table(
+    leaves: Sequence[tuple[_LeafPath, int]], n: int, dtype: type[np.integer]
+) -> np.ndarray:
+    """Dense table indexed by packed code: each (path, value) of a tree's
+    ``leaves`` fills the leaf's sub-cube of n bits with its value.
 
     Axis n-1-i of the (2,)*n cube is coordinate i, so the C-order
     flattening puts the point with code c at index c.
     """
-    cube = np.empty((2,) * n, dtype=np.int8)
-    for path, leaf in _leaves(tree.root):
+    cube = np.empty((2,) * n, dtype=dtype)
+    for path, value in leaves:
         index = [slice(None)] * n
         for i, b in path:
             index[n - 1 - i] = b
-        cube[tuple(index)] = leaf.label
+        cube[tuple(index)] = value
     return cube.reshape(-1)
 
 
@@ -641,7 +688,13 @@ class TruthTableOracle(TargetOracle):
         self.n = int(len(table).bit_length() - 1)
 
     def label_codes(self, codes: np.ndarray) -> np.ndarray:
-        return self.table[np.asarray(codes, dtype=np.uint64)]
+        # take() on an int64 view indexes about 3x as fast as uint64 fancy
+        # indexing on numpy 2.4, but reads a code of 2^63 or more as a
+        # negative index, so the range is checked first.
+        codes = np.asarray(codes, dtype=np.uint64)
+        if len(codes) and codes.max() >= len(self.table):
+            raise IndexError(f"code {codes.max()} out of range for a table of {len(self.table)}")
+        return self.table.take(codes.view(np.int64))
 
 
 class CountingOracle(TargetOracle):

@@ -17,8 +17,9 @@ leaves: each sample lives at the leaf its first element reaches.  The
 labeling and stopping-test points are kept in one array per label, so every
 count the builder reads is an array length, and the pools' bytes are the
 floors times that dtype's size.  When a leaf splits, each of its arrays is
-partitioned by the split bit; a walk from the root hands each leaf its
-share of a fresh batch, so per-leaf counts follow the correct conditional
+partitioned by the split bit.  A fresh batch is routed code by code with
+:func:`~greedytree.core.route_codes`, and one stable sort by leaf cuts each
+leaf's share from it, so per-leaf counts follow the correct conditional
 law while the pool totals meet the floors exactly.
 
 Draws, labels and routing stay on uint64 codes.  A top-up or pair draw is
@@ -101,8 +102,7 @@ from .core import (
     ProductDistribution,
     TargetOracle,
     label_leaves,
-    route_codes,  # unused here; perfbench/layers.py looks it up on this module
-    route_groups,
+    route_codes,
     split_leaf,
 )
 
@@ -173,6 +173,20 @@ def error_schedule(j: int, epsilon: float, delta: float) -> int:
 _SLICE = 1 << 16
 
 
+def _runs(keys: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Group ``values`` by their unsigned ``keys``: each key present, in
+    ascending order, with its values in their order in ``values``.
+
+    One stable argsort cuts every group; on keys of 16 bits or fewer numpy
+    sorts it by radix.
+    """
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    ends = counts.cumsum()
+    grouped = values[order]
+    return [(int(k), grouped[ends[k] - counts[k]:ends[k]]) for k in np.flatnonzero(counts)]
+
+
 @dataclass(frozen=True)
 class PairBatch:
     """The labeled pairs of one shared draw of points x, and their hits.
@@ -213,42 +227,44 @@ def draw_pair_batch(
     cannot disagree.  So the stream is ``count`` codes of ``dist`` twice,
     and the bits that flipped are x ^ y.
 
-    Each slice of ``_SLICE`` points is routed in one walk, which notes the
-    leaf each x reaches and clears from each x ^ y the coordinates queried
-    on that leaf's path; the pairs left are labeled.  For each coordinate
-    i, the slice's x that disagree are put in leaf order, draw order kept,
-    and each leaf's run is appended to the parts of (leaf id, i), which are
+    Each slice of ``_SLICE`` points is routed with :func:`route_codes`,
+    and one gather of each x's leaf's path mask clears from x ^ y the
+    coordinates queried on that path; the pairs left are labeled.  The
+    slice's x that disagree, coordinate by coordinate, are keyed
+    (leaf id, i) and cut into runs by one stable sort, so each run keeps
+    draw order; each run is appended to the parts of its key, which are
     concatenated once every slice is done (a key with one part keeps it).
     """
+    n = dist.n
     x = dist.draw_codes(rng, count)
     flips = dist.draw_codes(rng, count)
     flips ^= x
-    x_labels, alt_labels = [[] for _ in range(dist.n)], [[] for _ in range(dist.n)]
+    keep = np.zeros(bare._next_id, dtype=np.uint64)  # by leaf id: the bits off its path
+    for leaf_id, path in bare._paths.items():
+        keep[leaf_id] = ~np.uint64(sum(1 << v for v, _ in path))
+    key_type = np.min_scalar_type(bare._next_id * n - 1)  # (leaf id, i) as id * n + i
+    x_labels, alt_labels = [[] for _ in range(n)], [[] for _ in range(n)]
     found: dict[tuple[int, int], list[np.ndarray]] = {}  # by (leaf id, i): hits per slice
     for start in range(0, max(count, 1), _SLICE):  # count 0 is one empty slice
         xs, fs = x[start:start + _SLICE], flips[start:start + _SLICE]
-        leaf_of = np.empty(len(xs), dtype=np.int64)
-        for leaf, idx in route_groups(bare, xs):
-            leaf_of[idx] = leaf.id
-            path = bare._paths[leaf.id]
-            if path:
-                fs[idx] &= ~np.uint64(sum(1 << v for v, _ in path))
+        leaf_of = route_codes(bare, xs).astype(key_type)
+        fs &= keep[leaf_of]
         # Index arrays: on numpy 2.4 a boolean-mask gather of uint64 codes took
         # about 2.5x as long as flatnonzero followed by the integer gather, and
         # flatnonzero of a uint64 word about 6x as long as of its test != 0.
         some = np.flatnonzero(fs != 0)
         labels = np.zeros(len(xs), dtype=np.int8)
         labels[some] = oracle.label_codes(xs[some])
-        for i in range(dist.n):
+        hits, keys = [], []
+        for i in range(n):
             bit = np.uint64(1 << i)
             idx = np.flatnonzero((fs & bit) != 0)
             x_labels[i].append(labels[idx])
             alt_labels[i].append(oracle.label_codes(xs[idx] ^ bit))
-            hit = idx[np.flatnonzero(x_labels[i][-1] != alt_labels[i][-1])]
-            hit = hit[np.argsort(leaf_of[hit], kind="stable")]  # by leaf, draw order kept
-            for part in np.split(hit, np.flatnonzero(np.diff(leaf_of[hit])) + 1):
-                if len(part):
-                    found.setdefault((int(leaf_of[part[0]]), i), []).append(xs[part])
+            hits.append(idx[np.flatnonzero(x_labels[i][-1] != alt_labels[i][-1])])
+            keys.append(leaf_of[hits[-1]] * key_type.type(n) + key_type.type(i))
+        for key, part in _runs(np.concatenate(keys), xs[np.concatenate(hits)]):
+            found.setdefault(divmod(key, n), []).append(part)
     return PairBatch(
         np.concatenate([part for parts in x_labels for part in parts]),
         np.concatenate([part for parts in alt_labels for part in parts]),
@@ -317,15 +333,14 @@ def _labeled_shares(
     """Label the uint64 ``codes`` and route them, one slice at a time.
     Returns, by (leaf id, label), the parts of the codes of that label that
     reach that leaf, in draw order and cast to ``dtype``."""
+    key_type = np.min_scalar_type(2 * bare._next_id - 1)  # (leaf id, label) as 2 id + (label > 0)
     shares: dict[tuple[int, int], list[np.ndarray]] = {}
     for start in range(0, len(codes), _SLICE):
         chunk = codes[start:start + _SLICE]
-        positive = oracle.label_codes(chunk) > 0
-        narrow = chunk.astype(dtype)
-        for leaf, idx in route_groups(bare, chunk):
-            side = positive[idx]
-            for label, sel in ((1, side), (-1, ~side)):
-                shares.setdefault((leaf.id, label), []).append(narrow[idx[np.flatnonzero(sel)]])
+        keys = route_codes(bare, chunk).astype(key_type) << key_type.type(1)
+        keys |= oracle.label_codes(chunk) > 0
+        for key, part in _runs(keys, chunk.astype(dtype)):
+            shares.setdefault((key >> 1, 1 if key & 1 else -1), []).append(part)
     return shares
 
 

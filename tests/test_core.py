@@ -43,6 +43,7 @@ from greedytree.core import (
     serialize_tree,
     size,
     split_leaf,
+    tree_variables,
     unpack_bits,
 )
 from greedytree.sampling import build_topdown_practical
@@ -222,6 +223,33 @@ class TestReachProbability:
         with pytest.raises(ValueError):
             ProductDistribution([0.3]).reach_probability(Restriction({2: 1}))
 
+    @staticmethod
+    def _checked_loop(dist: ProductDistribution, restriction: Restriction) -> float:
+        """The reference: a range check and a factor per coordinate, in order."""
+        prob = 1.0
+        for i, b in restriction.items():
+            if not 0 <= i < dist.n:
+                raise ValueError(f"coordinate {i} out of range for n={dist.n}")
+            prob *= dist.biases[i] if b else 1.0 - dist.biases[i]
+        return prob
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(1e-6, 1 - 1e-6), min_size=1, max_size=12),
+        st.dictionaries(st.integers(0, 16), st.integers(0, 1), max_size=12),
+    )
+    @example(biases=[0.3], fixed={2: 1, 0: 0, 5: 1})
+    def test_equals_the_checked_loop_bit_for_bit(self, biases, fixed):
+        dist, restriction = ProductDistribution(biases), Restriction(fixed)
+        try:
+            want = self._checked_loop(dist, restriction)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                dist.reach_probability(restriction)
+            assert str(refused.value) == str(exc)  # names the lowest coordinate out of range
+        else:
+            assert dist.reach_probability(restriction).hex() == want.hex()
+
     def test_leaf_reach_probabilities_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -334,6 +362,39 @@ class TestRoute:
             written[idx] = value
         assert ranks == sorted(ranks)  # left to right
         assert np.array_equal(route_codes(tree, codes), written)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 5, 15, 16, 17, 20, 64]), st.booleans())
+    @example(seed=0, n=16, bare=False)
+    def test_table_routes_as_the_walk(self, seed, n, bare):
+        # a tree whose variables lie below bit 16 routes by its table, a
+        # wider one by the walk; every code carries bits above the tree's
+        rng = np.random.default_rng(seed)
+        tree = generate_random_tree(n, min(n, 6), rng)
+        if bare:
+            ids = iter(rng.permutation(200).tolist())
+            tree = BareTree(core._map_leaves(tree.root, lambda leaf: BareLeaf(next(ids))))
+        codes = rng.integers(0, 1 << 64, size=int(rng.integers(0, 400)), dtype=np.uint64)
+        walked = np.zeros(len(codes), dtype=np.int64)
+        for leaf, idx in route_groups(tree, codes):
+            walked[idx] = leaf.label if isinstance(leaf, Leaf) else leaf.id
+        routed = route_codes(tree, codes)
+        assert routed.dtype == np.int64 and np.array_equal(routed, walked)
+        assert np.array_equal(route_codes(tree, codes[::-1]), walked[::-1])  # from the cache
+        m = 1 + max(tree_variables(tree), default=-1)
+        assert (tree._route_table is core._WALK) == (m > 16)
+        if m <= 16:
+            assert len(tree._route_table) == 1 << m
+
+    @pytest.mark.parametrize("var,walks", [(15, False), (16, True), (63, True)])
+    def test_table_bound_at_bit_16(self, var, walks):
+        high = np.uint64(1 << var)
+        for tree in (DecisionTree(Internal(var, Leaf(-1), Leaf(1))),
+                     BareTree(Internal(var, BareLeaf(3), BareLeaf(8)))):
+            lo, hi = route(tree, [0] * (var + 1)), route(tree, [0] * var + [1])
+            codes = np.array([0, high, high | np.uint64(1), ~high, ~np.uint64(0)], dtype=np.uint64)
+            assert route_codes(tree, codes).tolist() == [lo, hi, hi, lo, hi]
+            assert (tree._route_table is core._WALK) == walks
 
 
 class TestDepths:
@@ -520,6 +581,9 @@ class TestTreeWalks:
             "route_groups": lambda: list(
                 route_groups(target, dist.draw_codes(np.random.default_rng(1), 999))
             ),
+            "route_codes": lambda: route_codes(  # fills and caches a fresh tree's table
+                DecisionTree(target.root), dist.draw_codes(np.random.default_rng(1), 999)
+            ),
             "build_topdown_practical": lambda: build_topdown_practical(
                 TreeOracle(target, 6), ProductDistribution([0.3] * 6), 0.3, 0.2, 0, max_splits=3
             ),
@@ -697,6 +761,20 @@ class TestOracles:
         oracle = TruthTableOracle(table)
         assert oracle.n == 2
         assert oracle.label([1, 0]) == -1
+
+    def test_truth_table_refuses_codes_past_its_end(self):
+        # labels come from an int64 view of the codes, where 2^63 and up
+        # read as negative indices; each still raises
+        oracle = TruthTableOracle(generate_truth_table(6, np.random.default_rng(0)).table)
+        for code in (1 << 6, 1 << 63, (1 << 64) - 1):
+            with pytest.raises(IndexError):
+                oracle.label_codes(np.array([0, code, 1], dtype=np.uint64))
+        rng = np.random.default_rng(1)
+        codes = rng.integers(0, 1 << 6, size=5000, dtype=np.uint64)
+        labels = oracle.label_codes(codes)
+        assert labels.dtype == np.int8 and np.array_equal(labels, oracle.table[codes])
+        assert np.array_equal(oracle.label_codes(codes[::-3]), oracle.table[codes[::-3]])
+        assert oracle.label_codes(np.empty(0, dtype=np.uint64)).shape == (0,)
 
     def test_truth_table_validation(self):
         with pytest.raises(ValueError):

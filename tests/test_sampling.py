@@ -302,12 +302,15 @@ class TestDrawPair:
         assert sum(map(len, hits.values())) > 0
 
     def test_no_whole_tree_walk(self, monkeypatch):
-        # the leaves' path masks come from the bare tree's own paths: with
-        # every whole-tree walk made to raise, the draw gives the same hits
+        # the leaves' path masks and routing table come from the bare tree's
+        # own paths: with every whole-tree walk made to raise, a tree never
+        # routed before gives the same hits as an equal tree
         _, oracle, dist, rng = _balanced_case(12, 0.3, "tree")
         bare = _random_bare(12, rng, 8)
         assert len(bare.leaf_ids()) > 4
-        expected = draw_pair_batch(oracle, dist, np.random.default_rng(9), 3000, bare).hits
+        equal = BareTree(bare.root)
+        expected = draw_pair_batch(oracle, dist, np.random.default_rng(9), 3000, equal).hits
+        assert bare._route_table is None
 
         def walk(root):
             raise AssertionError("whole-tree walk in a pair draw")
@@ -494,6 +497,28 @@ class TestPracticalBuilder:
         for row in result.usage:
             assert row.random_draws == row.labeling_floor + row.error_floor + 2 * row.pair_floor
         assert result.random_draws == result.usage[-1].random_draws
+
+    @pytest.mark.parametrize("max_splits", [0, 3, None])
+    def test_every_drawn_x_is_routed_through_route_codes(self, monkeypatch, max_splits):
+        # the builder routes every labeling, stopping-test and pair x code
+        # through the name ``sampling.route_codes``, where a tracer wraps it
+        routed = []
+
+        def counting(tree, codes):
+            assert isinstance(tree, BareTree)
+            routed.append(len(codes))
+            return route_codes(tree, codes)
+
+        monkeypatch.setattr(sampling, "route_codes", counting)
+        target = generate_balanced_target(3, 6, np.random.default_rng(2))
+        result = build_topdown_practical(
+            TreeOracle(target, 6), ProductDistribution([0.3] * 6), 0.1, 0.1, seed=5,
+            max_splits=max_splits,
+        )
+        last = result.usage[-1]
+        assert (result.splits > 3) == (max_splits is None)
+        assert sum(routed) == last.labeling_floor + last.error_floor + last.pair_floor
+        assert sum(routed) == result.random_draws - last.pair_floor > 0
 
     def test_usage_rows_nondecreasing(self):
         oracle = TreeOracle(DICTATOR, 2)
