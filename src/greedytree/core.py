@@ -627,7 +627,7 @@ class TreeOracle(TargetOracle):
     are built lazily, so constructing an oracle stays cheap.  It is
     the oracle's own evaluation: a label query is still one code passed to
     ``label_codes``, which is all a :class:`CountingOracle` or a builder's
-    query count sees.
+    query count sees.  A code with a bit at or above n raises IndexError.
 
     :meth:`compiled_leaves` compiles the tree once, on its first call, into
     per-leaf arrays.  Reading them labels no point, so it is no label query.
@@ -645,6 +645,8 @@ class TreeOracle(TargetOracle):
 
     def label_codes(self, codes: np.ndarray) -> np.ndarray:
         if self.n > TABLE_MAX_COORDS:
+            if len(codes) and int(np.max(codes)) >> self.n:  # the table refuses these too
+                raise IndexError(f"code {np.max(codes)} has a bit at or above n={self.n}")
             return route_codes(self.tree, codes).astype(np.int8)
         if self._table is None:
             leaves = [(path, leaf.label) for path, leaf in _leaves(self.tree.root)]

@@ -59,7 +59,8 @@ reads their weights from that product.  This is exact: numpy multiplies
 along a row in order, so a row's product does not depend on which
 gathered block holds it.  The table's factors take pieces x n x 8 bytes
 and are kept, shared by every node, for one build; building them holds
-one more byte per piece and coordinate at its peak.
+one more byte per piece and coordinate at its peak.  A gather takes the
+rows in blocks of at most ``_GATHER_BYTES``, so it holds no more than that.
 
 The path is chosen once per build, from the target: leaf pairs when its
 ordered label-differing leaf pairs times n is at most 2^n, the size of the
@@ -116,6 +117,7 @@ __all__ = [
 ]
 
 MAX_FREE_COORDS = 24
+_GATHER_BYTES = 1 << 21  # one block of gathered piece factors: 4096 rows at n = 64
 
 
 class EnumerationLimitError(RuntimeError):
@@ -325,9 +327,14 @@ def _piece_table(
 def _row_weights(pieces: Pieces, restriction: Restriction) -> np.ndarray:
     """The weight of each of the node's rows in the restriction's region:
     the product along its factors, the restriction's columns set to 1.0."""
-    factors = pieces.factors[pieces.rows]
-    factors[:, [i for i, _ in restriction.items()]] = 1.0
-    return factors.prod(axis=1)
+    step = max(1, _GATHER_BYTES // (8 * len(pieces.two_pq)))  # a row is n float64s
+    weights = np.empty(len(pieces.rows))
+    for start in range(0, len(pieces.rows), step):
+        factors = pieces.factors[pieces.rows[start : start + step]]
+        factors[:, [i for i, _ in restriction.items()]] = 1.0
+        factors.prod(axis=1, out=weights[start : start + step])
+        del factors  # before the next block is gathered
+    return weights
 
 
 def _tally(pieces: Pieces, weights: np.ndarray) -> SubfunctionSummary:

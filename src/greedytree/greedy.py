@@ -113,8 +113,8 @@ def build_topdown_exact(
     is an epsilon-approximation (or ``max_splits`` is exhausted, in which
     case the partial result is flagged ``terminated=False``).
 
-    ``max_splits`` defaults to 2^min(n, 62), the structural cap both
-    builders use.  The paper's size bound is no cap: the size-bound checks
+    ``max_splits=None`` sets no cap: a tree over n coordinates has at most
+    2^n - 1 splits.  Nor is the paper's size bound a cap: the size-bound checks
     exempt runs that end ``terminated=False``, so it could only hide what
     they look for.  An oracle whose n differs from ``dist.n`` is refused
     with a ValueError before any leaf is compiled or point labeled.
@@ -124,25 +124,16 @@ def build_topdown_exact(
     if max_splits is not None and max_splits < 0:
         raise ValueError(f"max_splits must be >= 0, got {max_splits}")
     oracle = TreeOracle(target, dist.n) if isinstance(target, DecisionTree) else target
-    if max_splits is None:
-        max_splits = 1 << min(dist.n, 62)
 
     leaves: dict[int, LeafInfo] = {0: leaf_info(oracle, dist, Restriction())}
-    # kept in the insertion and pop order of ``leaves``, so each sum adds
-    # the same floats in the same order
-    error_mass, leaf_cost = {0: leaves[0].error_mass}, {0: leaves[0].leaf_cost}
     heap = [(-leaves[0].score, 0)]
-    cost = sum(leaf_cost.values())
+    cost = leaves[0].leaf_cost
     bare = BareTree(BareLeaf(0))
     steps: list[GreedyStep] = []
 
     while True:
-        completion_error = sum(error_mass.values())
-        if completion_error <= epsilon:
-            terminated = True
-            break
-        if len(steps) >= max_splits:
-            terminated = False
+        completion_error = sum([info.error_mass for info in leaves.values()])
+        if completion_error <= epsilon or (max_splits is not None and len(steps) >= max_splits):
             break
 
         best_id = heapq.heappop(heap)[1]  # the highest score, then the lowest id
@@ -155,12 +146,11 @@ def build_topdown_exact(
             )
 
         bare, lo_id, hi_id = split_leaf(bare, best_id, best.coord)
-        del error_mass[best_id], leaf_cost[best_id]
         for lid, info in zip((lo_id, hi_id), split_children(best, dist)):
-            leaves[lid], error_mass[lid], leaf_cost[lid] = info, info.error_mass, info.leaf_cost
+            leaves[lid] = info
             heapq.heappush(heap, (-info.score, lid))
-        # also the next step's cost_before: the same sum over the same dict
-        cost_before, cost = cost, sum(leaf_cost.values())
+        # also the next step's cost_before: the same sum over the same leaves
+        cost_before, cost = cost, sum([info.leaf_cost for info in leaves.values()])
 
         steps.append(
             GreedyStep(
@@ -181,7 +171,7 @@ def build_topdown_exact(
         tree=label_leaves(bare, labels),
         bare=bare,
         steps=tuple(steps),
-        terminated=terminated,
+        terminated=completion_error <= epsilon,
         final_error=completion_error,
         epsilon=epsilon,
     )

@@ -423,7 +423,7 @@ def build_topdown_practical(
     ``seed`` reproduces the run bit for bit.  Returns the majority
     labeling of the grown bare tree; ``terminated`` is False when
     ``max_splits`` ran out (or no splittable leaf remained) before the
-    stopping test passed.
+    stopping test passed.  ``max_splits=None`` (the default) sets no cap.
     """
     _check_step_params(1, epsilon, delta)
     if seed < 0:
@@ -431,9 +431,7 @@ def build_topdown_practical(
     n = dist.n
     if oracle.n != n:
         raise ValueError(f"oracle has n={oracle.n}, distribution has n={n}")
-    if max_splits is None:
-        max_splits = 1 << min(n, 62)
-    elif max_splits < 0:
+    if max_splits is not None and max_splits < 0:
         raise ValueError(f"max_splits must be >= 0, got {max_splits}")
 
     bare = BareTree(BareLeaf(0))
@@ -468,7 +466,7 @@ def build_topdown_practical(
         best = None
         if mismatches <= 0.75 * epsilon * floors[1]:
             stop_reason = "stopping_test"
-        elif len(states) - 1 >= max_splits:
+        elif max_splits is not None and len(states) - 1 >= max_splits:
             stop_reason = "max_splits"
         else:
             # Only a step that may split reads the pair pools, so only it

@@ -750,6 +750,21 @@ class TestOracles:
         assert set(labels.tolist()) == {-1, 1}
         assert np.array_equal(labels > 0, (codes >> np.uint64(63)) == 1)
 
+    @pytest.mark.parametrize("n", [TABLE_MAX_COORDS, TABLE_MAX_COORDS + 1, 63])
+    def test_tree_oracle_refuses_a_bit_at_or_above_n(self, n):
+        # the dense table (n <= 24) and the walk (n > 24) refuse by one rule
+        oracle = TreeOracle(generate_balanced_target(3, n, np.random.default_rng(0)), n)
+        assert oracle.label_codes(np.array([0, (1 << n) - 1], dtype=np.uint64)).shape == (2,)
+        for bit in sorted({n, 40, 63} - set(range(n))):
+            with pytest.raises(IndexError):
+                oracle.label_codes(np.array([0, 1 << bit, 1], dtype=np.uint64))
+
+    def test_tree_oracle_at_64_labels_every_code(self):
+        tree = generate_balanced_target(3, 64, np.random.default_rng(0))
+        codes = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+        labels = TreeOracle(tree, 64).label_codes(codes)
+        assert np.array_equal(labels, route_codes(tree, codes).astype(np.int8))
+
     def test_dimension_above_64_refused(self):
         with pytest.raises(ValueError, match="at most 64 coordinates"):
             ProductDistribution([0.5] * 65)

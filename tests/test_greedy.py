@@ -80,9 +80,17 @@ class TestTermination:
         assert result.splits == 1
         assert result.final_error > 0.01
 
+    def test_none_is_no_cap(self):
+        # parity on 3 coordinates takes all 2^3 - 1 splits a tree over them has
+        parity3 = TruthTableOracle(np.array([1, -1, -1, 1, -1, 1, 1, -1]))
+        dist = ProductDistribution([0.5] * 3)
+        runs = [build_topdown_exact(parity3, dist, 0.01, max_splits=m) for m in (None, 2**3)]
+        assert runs[0].terminated and runs[0].splits == 7
+        assert repr(runs[0]) == repr(runs[1])
+
     def test_default_cap_is_structural_not_the_size_bound(self, monkeypatch):
         # a size bound of e^0 = 1 would stop parity after one split; the
-        # default cap is 2^n, so the run still reaches the error target
+        # default sets no cap, so the run still reaches the error target
         monkeypatch.setattr(greedy, "size_bound_log", lambda *args: 0.0)
         result = build_topdown_exact(PARITY2, UNIFORM2, epsilon=0.01)
         assert result.terminated

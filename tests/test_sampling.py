@@ -528,6 +528,17 @@ class TestPracticalBuilder:
             assert b.label_queries > a.label_queries
             assert b.leaves == a.leaves + 1
 
+    def test_none_is_no_cap(self):
+        # parity on 3 coordinates takes all 2^3 - 1 splits a tree over them has
+        parity3 = TruthTableOracle(np.array([1, -1, -1, 1, -1, 1, 1, -1]))
+        dist = ProductDistribution([0.5] * 3)
+        runs = [
+            build_topdown_practical(parity3, dist, 0.1, 0.1, seed=0, max_splits=m)
+            for m in (None, 2**3)
+        ]
+        assert runs[0].stop_reason == "stopping_test" and runs[0].splits == 7
+        assert repr(runs[0]) == repr(runs[1])
+
     def test_max_splits_flagged(self):
         parity = DecisionTree(
             Internal(0, Internal(1, Leaf(-1), Leaf(1)), Internal(1, Leaf(1), Leaf(-1)))
