@@ -221,22 +221,44 @@ def _fill_positioned(
     _fill_block(np.random.Generator(bit_gen), biases, codes, skip)
 
 
+def _coordinate(value) -> int:
+    """``value`` as a Python int; anything ``operator.index`` refuses, a
+    float among them, raises a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"coordinate {value!r} is not an integer") from None
+
+
+def _bit(value, coordinate: int) -> int:
+    """``value`` as the Python int 0 or 1; anything else, 1.0 among them,
+    raises a ValueError."""
+    try:
+        bit = operator.index(value)
+    except TypeError:
+        bit = -1
+    if bit not in (0, 1):
+        raise ValueError(f"bit for coordinate {coordinate} must be 0 or 1, got {value!r}")
+    return bit
+
+
 @dataclass(frozen=True)
 class Restriction:
-    """Partial assignment of coordinates, e.g. the queries along a path."""
+    """Partial assignment of coordinates, e.g. the queries along a path.
+    Coordinates and bits go through ``operator.index`` and are stored as
+    Python ints."""
 
     fixed: tuple[tuple[int, int], ...] = ()
 
     def __init__(self, fixed: Mapping[int, int] | Sequence[tuple[int, int]] = ()):
-        raw = list(fixed.items()) if isinstance(fixed, Mapping) else [tuple(p) for p in fixed]
+        pairs = fixed.items() if isinstance(fixed, Mapping) else [tuple(p) for p in fixed]
+        raw = [(_coordinate(i), b) for i, b in pairs]
         if len({i for i, _ in raw}) != len(raw):
             raise ValueError("coordinate fixed twice")
-        for i, b in raw:
+        for i, _ in raw:
             if i < 0:
                 raise ValueError(f"negative coordinate {i}")
-            if b not in (0, 1):
-                raise ValueError(f"bit for coordinate {i} must be 0 or 1, got {b!r}")
-        object.__setattr__(self, "fixed", tuple(sorted(raw)))
+        object.__setattr__(self, "fixed", tuple(sorted((i, _bit(b, i)) for i, b in raw)))
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self.fixed)
@@ -253,13 +275,13 @@ class Restriction:
     def extend(self, coordinate: int, bit: int) -> "Restriction":
         """This restriction with ``coordinate`` fixed to ``bit``: the pair is
         inserted in order, and the pairs already fixed are not checked again."""
+        coordinate = _coordinate(coordinate)
         k = bisect.bisect(self.fixed, (coordinate,))  # (i,) sorts before (i, 0)
         if k < len(self.fixed) and self.fixed[k][0] == coordinate:
             raise ValueError(f"coordinate {coordinate} already fixed")
         if coordinate < 0:
             raise ValueError(f"negative coordinate {coordinate}")
-        if bit not in (0, 1):
-            raise ValueError(f"bit for coordinate {coordinate} must be 0 or 1, got {bit!r}")
+        bit = _bit(bit, coordinate)
         out = object.__new__(Restriction)
         object.__setattr__(out, "fixed", self.fixed[:k] + ((coordinate, bit),) + self.fixed[k:])
         return out
@@ -487,13 +509,17 @@ def route(tree: Tree, x: Sequence[int]) -> int:
     the leaf identifier (bare tree).
 
     Each internal node reads one coordinate; no coordinate is consulted
-    twice because path variables never repeat.
+    twice because path variables never repeat.  A read coordinate whose
+    value is not 0 or 1 is refused with a ValueError.
     """
     node = tree.root
     while isinstance(node, Internal):
         if node.var >= len(x):
             raise ValueError(f"point has {len(x)} coordinates, tree queries x_{node.var}")
-        node = node.hi if x[node.var] else node.lo
+        bit = x[node.var]
+        if bit not in (0, 1):
+            raise ValueError(f"x_{node.var} must be 0 or 1, got {bit!r}")
+        node = node.hi if bit else node.lo
     return _leaf_value(node)
 
 
@@ -547,8 +573,13 @@ def route_codes(tree: Tree, codes: np.ndarray) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
-    """Pack an (N, n) 0/1 array into uint64 codes (bit i = coordinate i)."""
-    arr = np.asarray(bits, dtype=np.uint64)
+    """Pack an (N, n) 0/1 array into uint64 codes (bit i = coordinate i).
+    An entry other than 0 or 1 is refused with a ValueError."""
+    raw = np.asarray(bits)
+    bad = (raw != 0) & (raw != 1)
+    if np.any(bad):
+        raise ValueError(f"bits must be 0 or 1, got {raw[bad].tolist()[0]!r}")
+    arr = raw.astype(np.uint64)
     if arr.ndim == 1:
         arr = arr[None, :]
     n = arr.shape[1]

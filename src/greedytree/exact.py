@@ -98,6 +98,7 @@ from .core import (
     label_leaves,
     leaf_paths,
     route_codes,
+    tree_variables,
 )
 
 __all__ = [
@@ -346,11 +347,6 @@ def _tally(pieces: Pieces, weights: np.ndarray) -> SubfunctionSummary:
     return SubfunctionSummary(float(weights[:plus].sum()), pieces.two_pq * flip, flip, None, pieces)
 
 
-def _piece_summary(restriction: Restriction, pieces: Pieces) -> SubfunctionSummary:
-    """The summary of the restriction from its node's rows of the piece table."""
-    return _tally(pieces, _row_weights(pieces, restriction))
-
-
 def positive_mass(view: SubfunctionView, dist: ProductDistribution) -> float:
     """Conditional probability that the subfunction equals +1."""
     labels = view.oracle.label_codes(_codes(view, dist))
@@ -366,23 +362,23 @@ def positive_mass(view: SubfunctionView, dist: ProductDistribution) -> float:
 class LeafInfo:
     """What the greedy step needs about one leaf of a bare tree.
 
-    A split derives both children from ``labels`` or ``pieces``, whichever
-    the leaf's path keeps (see :class:`SubfunctionSummary`), without
-    labeling again.  The live leaves of a bare tree partition the cube, so
-    on enumeration they hold 2^n labels together: 2^n bytes with this
-    package's oracles, which label in int8.  On leaf pairs they share one
-    piece table and each holds its own row indices.
+    ``summary`` is the leaf's :class:`SubfunctionSummary`: its positive
+    mass, every coordinate's influence, and the ``labels`` or ``pieces``
+    from which a split derives both children without labeling again.  The
+    score of any coordinate i is ``reach * summary.influences[i]``.  The
+    live leaves of a bare tree partition the cube, so on enumeration they
+    hold 2^n labels together: 2^n bytes with this package's oracles, which
+    label in int8.  On leaf pairs they share one piece table and each holds
+    its own row indices.
     """
 
     restriction: Restriction
     reach: float
-    mu_plus: float
-    error_mass: float  # reach * min(mu_plus, 1 - mu_plus), clamped at 0
+    error_mass: float  # reach * min(mu, 1 - mu), clamped at 0, mu the positive mass
     leaf_cost: float  # reach * total influence
     score: float  # reach * largest influence
     coord: int  # coordinate of the largest influence; -1 with none free
-    labels: np.ndarray | None = field(repr=False, compare=False)
-    pieces: Pieces | None = field(repr=False, compare=False)
+    summary: SubfunctionSummary = field(repr=False, compare=False)
 
 
 def _leaf(
@@ -403,14 +399,12 @@ def _leaf(
     return LeafInfo(
         restriction=restriction,
         reach=reach,
-        mu_plus=mu,
         # mu of an all-+1 region can round just above 1
         error_mass=reach * max(0.0, min(mu, 1.0 - mu)),
         leaf_cost=reach * summary.total_influence,
         score=score,
         coord=best,
-        labels=summary.labels,
-        pieces=summary.pieces,
+        summary=summary,
     )
 
 
@@ -427,7 +421,8 @@ def leaf_info(
     _check_budget(len(free))
     leaves = oracle.compiled_leaves()
     if _pairs_fit(leaves, oracle.n):
-        summary = _piece_summary(restriction, _piece_table(dist, restriction, leaves))
+        pieces = _piece_table(dist, restriction, leaves)
+        summary = _tally(pieces, _row_weights(pieces, restriction))
     else:
         summary = subfunction_summary(view, dist)
     return _leaf(dist, restriction, free, summary)
@@ -435,7 +430,10 @@ def leaf_info(
 
 def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo, LeafInfo]:
     """The leaves that splitting ``info`` on ``info.coord`` creates, x = 0
-    first, equal to ``leaf_info`` of each child restriction.
+    first, equal to ``leaf_info`` of each child restriction.  To split on
+    another free coordinate c, pass ``dataclasses.replace(info, coord=c)``:
+    the children's costs then sum to ``info.leaf_cost`` less
+    ``info.reach * info.summary.influences[c]``.
 
     On leaf pairs one product over the parent's rows of the piece table,
     with the child restriction's columns set to 1.0, weighs both children
@@ -454,8 +452,8 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     child_free = [i for i in range(dist.n) if i not in fixed]
     free = np.array(child_free, dtype=np.intp)
     children = [info.restriction.extend(info.coord, b) for b in (0, 1)]
-    if info.pieces is not None:
-        pieces, bit = info.pieces, np.uint64(1 << info.coord)
+    if info.summary.pieces is not None:
+        pieces, bit = info.summary.pieces, np.uint64(1 << info.coord)
         # both children reset the same columns, and a row's product is the
         # same in any block that holds it: one product serves both
         weights = _row_weights(pieces, children[0])
@@ -466,7 +464,7 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
         )
     t = bisect.bisect(child_free, info.coord)  # its position among the parent's free
     weights = _weights(dist, child_free)
-    halves = info.labels.reshape(-1, 2, 1 << t)
+    halves = info.summary.labels.reshape(-1, 2, 1 << t)
     return tuple(
         _leaf(dist, r, free, _summarize(dist, child_free, halves[:, b, :].flatten(), weights))
         for b, r in enumerate(children)
@@ -502,7 +500,12 @@ def f_completion(bare: BareTree, oracle: TargetOracle, dist: ProductDistribution
 
 
 def tree_error(tree: DecisionTree, oracle: TargetOracle, dist: ProductDistribution) -> float:
-    """Exact disagreement probability Pr[tree(x) != f(x)] by enumeration."""
+    """Exact disagreement probability Pr[tree(x) != f(x)] by enumeration.
+    A tree that queries a coordinate at or above ``oracle.n`` is refused
+    with a ValueError."""
+    vs = tree_variables(tree)
+    if vs and max(vs) >= oracle.n:
+        raise ValueError(f"tree queries x_{max(vs)} but n={oracle.n}")
     view = SubfunctionView(oracle)
     codes = _codes(view, dist)
     disagree = route_codes(tree, codes) != oracle.label_codes(codes)

@@ -14,22 +14,12 @@ score, the potential ("cost") before and after the split, and the exact
 completion error before the split; the verification suite replays these
 against independently recomputed values.
 
-Leaves are scored on one of two paths, chosen once per build from the
-target (see :mod:`greedytree.exact`).  A tree target whose ordered
-label-differing leaf pairs times n are at most 2^n is scored over pairs of
-its leaves: no point is labeled, so a ``CountingOracle`` target sees no
-query.  The root builds the build's one piece table (pieces x n x 8 bytes
-of bias factors, kept until the build returns).  A split takes one product
-over the parent's rows, and each child keeps the rows that one bit test at
-the split coordinate admits, with their weights from that product, so no
-child rebuilds a conflict matrix or multiplies rows of its own.  Any other
-target is labeled once per build: the root's enumeration labels all 2^n
-points, and each split derives its two children from the parent's labels
-(:func:`greedytree.exact.split_children`), so a ``CountingOracle`` target
-sees exactly 2^n queries.  There the live leaves hold only their labels
-(2^n in all), not codes or weights, and large leaves reduce on the draw
-threads too.  On both paths the final tree takes its labels from the
-positive masses already held.
+A tree target whose ordered label-differing leaf pairs times n are at
+most 2^n labels no point, so a ``CountingOracle`` target sees no query;
+its piece table is held until the build returns.  Any other target labels
+all 2^n points, once per build, so a ``CountingOracle`` target sees 2^n
+queries.  See :mod:`greedytree.exact` for how leaves are scored and split
+on either path.
 """
 
 from __future__ import annotations
@@ -166,7 +156,9 @@ def build_topdown_exact(
         )
 
     # f_completion's labels, from the positive masses already held: ties go to +1
-    labels = {lid: 1 if info.mu_plus >= 0.5 else -1 for lid, info in leaves.items()}
+    labels = {
+        lid: 1 if info.summary.positive_mass >= 0.5 else -1 for lid, info in leaves.items()
+    }
     return GreedyResult(
         tree=label_leaves(bare, labels),
         bare=bare,

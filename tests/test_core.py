@@ -298,6 +298,19 @@ class TestRestriction:
         with pytest.raises(ValueError, match="negative coordinate"):
             Restriction({1: 0}).extend(-1, 1)
 
+    @pytest.mark.parametrize("build", ["init", "extend"])
+    def test_refuses_a_float_and_stores_numpy_integers_as_ints(self, build):
+        def make(i, b):
+            return Restriction({i: b}) if build == "init" else Restriction({5: 0}).extend(i, b)
+
+        with pytest.raises(TypeError, match=r"coordinate 1\.0 is not an integer"):
+            make(1.0, 1)
+        with pytest.raises(ValueError, match=r"bit for coordinate 0 must be 0 or 1, got 1\.0"):
+            make(0, 1.0)
+        r = make(np.int64(2), np.uint8(1))
+        assert all(type(v) is int for pair in r.fixed for v in pair)
+        assert r.base_code() & 4 and "np." not in repr(r)
+
     def test_path_restriction_matches_queries(self):
         paths = dict()
         for r, leaf in leaf_paths(DEPTH2):
@@ -320,6 +333,13 @@ class TestRoute:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             route(DICTATOR, [])
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5])
+    def test_refuses_a_queried_value_outside_zero_one(self, bit):
+        tree = DecisionTree(Internal(1, Leaf(-1), Leaf(1)))
+        with pytest.raises(ValueError, match="x_1 must be 0 or 1"):
+            route(tree, [0, bit])
+        assert route(tree, [bit, 0]) == -1  # x_0 is never read
 
     def test_bare_tree_routes_to_id(self):
         bare = BareTree(Internal(0, BareLeaf(4), BareLeaf(9)))
@@ -686,6 +706,21 @@ class TestPacking:
     def test_pack_unpack_round_trip(self, bits):
         arr = np.array([bits], dtype=np.uint8)
         assert np.array_equal(unpack_bits(pack_bits(arr), len(bits)), arr)
+
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5])
+    def test_refuses_an_entry_outside_zero_one(self, bit):
+        tree = DecisionTree(Internal(1, Leaf(-1), Leaf(1)))
+        for x in ([[bit, 0]], np.array([[0, 1], [bit, 0]])):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                pack_bits(x)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            TreeOracle(tree, 2).label([bit, 0])
+
+    def test_accepts_bool_and_uint8(self):
+        for dtype in (bool, np.uint8):
+            codes = pack_bits(np.array([[1, 0, 1], [0, 1, 1]], dtype=dtype))
+            assert codes.dtype == np.uint64 and codes.tolist() == [5, 6]
 
 
 class TestOracles:

@@ -34,13 +34,14 @@ from greedytree.greedy import build_topdown_exact
 from greedytree.exact import (
     EnumerationLimitError,
     LeafInfo,
+    SubfunctionSummary,
     SubfunctionView,
     _codes,
     _leaf,
-    _piece_summary,
     _piece_table,
     _pairs_fit,
     _row_weights,
+    _tally,
     _weights,
     cost,
     f_completion,
@@ -56,7 +57,7 @@ from greedytree.targets import (
     generate_random_tree,
     generate_truth_table,
 )
-from greedytree.verify import _table_as_tree, generate_instance
+from greedytree.verify import IDENTITY_TOL, _table_as_tree, generate_instance
 
 UNIFORM2 = ProductDistribution([0.5, 0.5])
 DICTATOR = DecisionTree(Internal(0, Leaf(-1), Leaf(1)))
@@ -223,7 +224,7 @@ class TestScore:
     def test_no_free_coordinate_reports_minus_one(self):
         info = leaf_info(oracle_of(AND2, 2), UNIFORM2, Restriction({0: 1, 1: 1}))
         assert (info.score, info.coord, info.leaf_cost) == (0.0, -1, 0.0)
-        assert (info.mu_plus, info.error_mass) == (1.0, 0.0)
+        assert (info.summary.positive_mass, info.error_mass) == (1.0, 0.0)
 
     def test_fields_equal_definitional_values(self):
         # reach, score and cost against the from-scratch influence
@@ -246,7 +247,7 @@ class TestScore:
             assert infl[info.coord - 1] == pytest.approx(max(infl), abs=1e-12)
             assert info.leaf_cost == pytest.approx(reach * sum(infl), abs=1e-12)
             mu = positive_mass(SubfunctionView(oracle, Restriction(fixed)), dist)
-            assert info.mu_plus == mu
+            assert info.summary.positive_mass == mu
             assert info.error_mass == pytest.approx(reach * min(mu, 1 - mu), abs=1e-15)
 
 
@@ -309,15 +310,19 @@ def node_rows(pieces) -> list:
 
 
 def assert_same_leaf(got: LeafInfo, want: LeafInfo):
-    """Every field equal, arrays byte for byte; ``labels`` on enumeration
-    and ``pieces`` on leaf pairs, the other None on both.  Two handles are
-    equal when the rows their nodes keep are, whichever table holds them."""
+    """Every field equal, and every field of the kept summaries, arrays byte
+    for byte; ``labels`` on enumeration and ``pieces`` on leaf pairs, the
+    other None on both.  Two handles are equal when the rows their nodes
+    keep are, whichever table holds them."""
     for f in dataclasses.fields(LeafInfo):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "labels" and a is not None:
-            assert same_arrays(a, b)
-        elif f.name == "pieces" and a is not None:
+        if f.name != "summary":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for f in dataclasses.fields(SubfunctionSummary):
+        a, b = getattr(got.summary, f.name), getattr(want.summary, f.name)
+        if f.name == "pieces" and a is not None:
             assert all(same_arrays(x, y) for x, y in zip(node_rows(a), node_rows(b), strict=True))
+        elif isinstance(a, np.ndarray):
+            assert same_arrays(a, b), f.name
         else:
             assert a == b, f.name
 
@@ -353,7 +358,7 @@ class TestSplitChildren:
             info = live.pop()
             free = [i for i in range(n) if i not in info.restriction]
             if not free:
-                assert len(info.labels) == 1
+                assert len(info.summary.labels) == 1
                 continue
             coord = int(rng.choice(free))
             for b, child in enumerate(split_children(dataclasses.replace(info, coord=coord), dist)):
@@ -366,11 +371,17 @@ def random_restriction(n: int, rng) -> Restriction:
     return Restriction({int(i): int(rng.integers(2)) for i in coords})
 
 
+def piece_summary(dist, restriction, leaves) -> SubfunctionSummary:
+    """The summary of the restriction from a fresh piece table of ``leaves``."""
+    pieces = _piece_table(dist, restriction, leaves)
+    return _tally(pieces, _row_weights(pieces, restriction))
+
+
 def pair_leaf(oracle, dist, restriction) -> LeafInfo:
     """``leaf_info`` on the leaf-pair path, whichever path the rule names."""
     free = [i for i in range(dist.n) if i not in restriction]
-    pieces = _piece_table(dist, restriction, oracle.compiled_leaves())
-    return _leaf(dist, restriction, free, _piece_summary(restriction, pieces))
+    summary = piece_summary(dist, restriction, oracle.compiled_leaves())
+    return _leaf(dist, restriction, free, summary)
 
 
 class TestLeafPairs:
@@ -387,8 +398,7 @@ class TestLeafPairs:
         rng = np.random.default_rng(seed)
         for _ in range(4):
             r = random_restriction(inst.dist.n, rng)
-            pieces = _piece_table(inst.dist, r, inst.oracle.compiled_leaves())
-            got = _piece_summary(r, pieces)
+            got = piece_summary(inst.dist, r, inst.oracle.compiled_leaves())
             want = subfunction_summary(SubfunctionView(inst.oracle, r), inst.dist)
             assert got.positive_mass == pytest.approx(want.positive_mass, rel=1e-12, abs=0)
             for form in ("influences", "flip_influences"):
@@ -412,7 +422,7 @@ class TestLeafPairs:
             info = children[int(rng.integers(2))]
         # one point is left: one +1 piece if it is labeled +1, else none
         point = np.array([info.restriction.base_code()], dtype=np.uint64)
-        assert len(info.pieces.rows) == int(inst.oracle.label_codes(point)[0] > 0)
+        assert len(info.summary.pieces.rows) == int(inst.oracle.label_codes(point)[0] > 0)
 
     def test_rule_compares_pairs_times_n_with_the_enumeration(self):
         # ordered label-differing pairs: 2 for the dictator, 4 for AND2
@@ -431,9 +441,9 @@ class TestLeafPairs:
         dist = ProductDistribution(rng.uniform(0.1, 0.9, n))
         r = Restriction({2: 1})
         enumerated, paired = leaf_info(complete, dist, r), leaf_info(small, dist, r)
-        assert enumerated.pieces is None and complete.queries == 1 << (n - 1)
+        assert enumerated.summary.pieces is None and complete.queries == 1 << (n - 1)
         assert_same_leaf(enumerated, leaf_info(table, dist, r))
-        assert paired.labels is None and small.queries == 0
+        assert paired.summary.labels is None and small.queries == 0
         assert small.inner._table is None
         assert_same_leaf(paired, pair_leaf(small, dist, r))
 
@@ -447,9 +457,9 @@ class TestLeafPairs:
         oracle = TreeOracle(and3, 3)
         dist = ProductDistribution([1e-200, 1e-200, 0.5])
         root = pair_leaf(oracle, dist, Restriction())
-        assert _piece_summary(Restriction(), root.pieces).flip_influences[2] == 0.0
+        assert root.summary.flip_influences[2] == 0.0
         _, hi = split_children(dataclasses.replace(root, coord=0), dist)
-        assert _piece_summary(hi.restriction, hi.pieces).flip_influences[2] == 1e-200
+        assert hi.summary.flip_influences[2] == 1e-200
 
     def test_leaf_info_refuses_other_dimensions_and_wide_restrictions(self, monkeypatch):
         monkeypatch.setattr("greedytree.exact.MAX_FREE_COORDS", 4)
@@ -501,10 +511,10 @@ def piece_target(kind: str, n: int, rng) -> DecisionTree:
 
 
 def assert_equals_reference(dist, info: LeafInfo, leaves):
-    """The leaf's summary from its rows equals the old kernel's bit for bit."""
-    got = _piece_summary(info.restriction, info.pieces)
+    """The leaf's kept summary equals the old kernel's bit for bit."""
+    got = info.summary
     mass, infl, flip = reference_pair_summary(dist, info.restriction, leaves)
-    assert got.positive_mass == mass == info.mu_plus
+    assert got.positive_mass == mass
     assert same_arrays(got.influences, infl)
     assert same_arrays(got.flip_influences, flip)
 
@@ -586,7 +596,7 @@ class TestPieceTable:
         for fixed, lowest in (({0: 0}, 1), ({0: 0, 1: 1}, 2), ({0: 0, 2: 1}, 1)):
             info = leaf_info(oracle, dist, Restriction(fixed))
             assert (info.coord, info.score, info.leaf_cost) == (lowest, 0.0, 0.0)
-            assert (info.pieces is None) == (kind == "table")
+            assert (info.summary.pieces is None) == (kind == "table")
 
     @pytest.mark.parametrize("kind", ["tree", "table"])
     def test_leaf_with_no_free_coordinate_refuses_to_split(self, kind):
@@ -596,7 +606,7 @@ class TestPieceTable:
         fixed = leaf_info(oracle, dist, Restriction({0: 1}))
         child, _ = split_children(leaf_info(oracle, dist, Restriction()), dist)
         for info in (fixed, child):
-            assert info.coord == -1 and (info.pieces is None) == (kind == "table")
+            assert info.coord == -1 and (info.summary.pieces is None) == (kind == "table")
             with pytest.raises(ValueError, match="has no free coordinate to split"):
                 split_children(info, dist)
 
@@ -648,7 +658,7 @@ class TestPieceTable:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        pieces = root.pieces
+        pieces = root.summary.pieces
         assert len(pieces.rows) == 12_484 and pieces.factors.nbytes == 12_484 * n * 8
         assert peak < pieces.factors.nbytes / 2
         whole = pieces.factors[pieces.rows]
@@ -658,7 +668,8 @@ class TestPieceTable:
         assert same_arrays(_row_weights(pieces, child), want)
         monkeypatch.setattr("greedytree.exact._GATHER_BYTES", 7 * n * 8)  # 7-row blocks
         assert same_arrays(_row_weights(pieces, child), want)
-        assert split_children(root, dist) == children
+        for got, want in zip(split_children(root, dist), children, strict=True):
+            assert_same_leaf(got, want)
 
 
 class TestOnePassSplit:
@@ -704,7 +715,40 @@ class TestOnePassSplit:
                 infl = subfunction_summary(SubfunctionView(oracle, child.restriction), dist).influences
                 assert infl[tied[0]] == infl[tied[1]] > 0.0 == infl[0]
                 assert child.coord == tied[0] and child.score == child.reach * infl[tied[0]]
-                assert (child.pieces is None) == (kind == "table")
+                assert (child.summary.pieces is None) == (kind == "table")
+
+
+class TestSplitOnAnyCoordinate:
+    """Splitting a leaf on any free coordinate c lowers the cost by the
+    kept ``reach * summary.influences[c]``, not only on the argmax: the
+    other coordinates' re-randomization influences, weighed by the two
+    children's reaches, sum to the parent's."""
+
+    @pytest.mark.parametrize("bias", sorted(SPLIT_BIASES))
+    @pytest.mark.parametrize("kind", ["tree", "table"])  # leaf pairs, enumeration
+    def test_children_cost_the_parent_less_the_kept_influence(self, kind, bias):
+        rng = np.random.default_rng([len(kind), len(bias)])
+        n = 12 if kind == "tree" else 8
+        oracle = (
+            TreeOracle(generate_balanced_target(4, n, rng), n)
+            if kind == "tree"
+            else generate_truth_table(n, rng)
+        )
+        assert _pairs_fit(oracle.compiled_leaves(), n) == (kind == "tree")
+        dist = ProductDistribution(SPLIT_BIASES[bias](n, rng))
+        result = build_topdown_exact(oracle, dist, epsilon=0.01, max_splits=24)
+        # every leaf the build held, replayed down its splits
+        live, visited = [(result.bare.root, leaf_info(oracle, dist, Restriction()))], 0
+        while live:
+            node, info = live.pop()
+            visited += 1
+            for c in (i for i in range(n) if i not in info.restriction):
+                lo, hi = split_children(dataclasses.replace(info, coord=c), dist)
+                want = info.leaf_cost - info.reach * info.summary.influences[c]
+                assert lo.leaf_cost + hi.leaf_cost == pytest.approx(want, abs=IDENTITY_TOL)
+                if isinstance(node, Internal) and node.var == c:
+                    live += [(node.lo, lo), (node.hi, hi)]
+        assert result.splits > 0 and visited == 2 * result.splits + 1
 
 
 class TestPairlessCoordinates:
@@ -826,9 +870,8 @@ class TestCost:
         a = BareTree(Internal(1, BareLeaf(0), Internal(2, BareLeaf(1), BareLeaf(2))))
         b = BareTree(Internal(1, BareLeaf(40), Internal(2, BareLeaf(17), BareLeaf(99))))
         assert cost(a, oracle, dist) == cost(b, oracle, dist)
-        assert [leaf_info(oracle, dist, r) for r, _ in leaf_paths(a)] == [
-            leaf_info(oracle, dist, r) for r, _ in leaf_paths(b)
-        ]
+        for (ra, _), (rb, _) in zip(leaf_paths(a), leaf_paths(b), strict=True):
+            assert_same_leaf(leaf_info(oracle, dist, ra), leaf_info(oracle, dist, rb))
 
 
 class TestCompletion:
@@ -881,6 +924,13 @@ class TestTreeError:
         dist = ProductDistribution([0.3, 0.5])
         flipped = DecisionTree(Internal(0, Leaf(1), Leaf(-1)))
         assert tree_error(CONST2, oracle_of(flipped, 2), dist) == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("var", [8, 9, 20])
+    def test_refuses_a_tree_over_coordinates_the_space_lacks(self, var):
+        target = generate_balanced_target(2, 8, np.random.default_rng(0))
+        hypothesis = DecisionTree(Internal(var, Leaf(-1), Leaf(1)))
+        with pytest.raises(ValueError, match=f"tree queries x_{var} but n=8"):
+            tree_error(hypothesis, TreeOracle(target, 8), ProductDistribution([0.3] * 8))
 
 
 class TestEnumerationBudget:

@@ -145,8 +145,8 @@ class TestCompletionLabels:
     def test_labels_equal_the_reference_completion(self):
         # the builder labels its leaves from the positive mass it already
         # holds; f_completion enumerates every leaf again.  Cases: the
-        # acceptance suite's lemma corpus, the uniform dictator (mu_plus =
-        # 1/2 exactly at the root, so the tie goes to +1) and a parity run
+        # acceptance suite's lemma corpus, the uniform dictator (positive
+        # mass 1/2 exactly at the root, so the tie goes to +1) and a parity run
         # cut after one split (both leaves tie)
         cases = []
         for k in range(200):
