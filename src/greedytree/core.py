@@ -21,11 +21,13 @@ walk, ``route_groups``.  A bare tree keeps its leaves' paths by identifier
 and hands out new leaves' identifiers, so ``split_leaf`` rebuilds only the
 nodes above the leaf it splits.
 
-Large draws run on worker threads, one per CPU, in a module-private pool
-started by the first such draw.  The threads only fill disjoint slices of
-a code array from private generators; they never call an oracle.  A forked
-child drops the inherited pool, whose threads did not survive the fork,
-and starts its own.
+Large draws and the exact engine's influence reductions run on worker
+threads, one per CPU, in a module-private pool started on first use.  One
+rule serves both: work over a number of points goes there when there are
+two or more threads and the points fill two blocks of ``_MIN_BLOCK``.
+The threads run numpy only; they never call an oracle.  A forked child
+drops the inherited pool, whose threads did not survive the fork, and
+starts its own.
 """
 
 from __future__ import annotations
@@ -144,30 +146,31 @@ class ProductDistribution:
         those of drawing ``rng.random(count)`` once per coordinate in
         ascending order, however the work is split.
 
-        For a ``PCG64`` generator, a machine with several CPUs and at least
-        two blocks of ``_MIN_BLOCK`` points, the points are filled in
-        blocks on the draw threads, each from a private copy of the stream
-        positioned with ``advance``.  Otherwise one block is filled inline
-        from ``rng`` itself.
+        For a ``PCG64`` generator and a draw that goes to the draw threads
+        (see the module docstring), the points are filled there in blocks,
+        each from a private copy of the stream positioned with ``advance``.
+        Otherwise one block is filled inline from ``rng`` itself.
         """
         count = operator.index(count)  # advance() overflows on numpy integers
         codes = np.zeros(count, dtype=np.uint64)
         bit_gen = rng.bit_generator
+        if type(bit_gen) is not np.random.PCG64 or not _pooled(count):
+            _fill_block(rng, self.biases, codes, 0)
+            return codes
         blocks = count // _MIN_BLOCK
         if blocks > _DRAW_THREADS:
             blocks -= blocks % _DRAW_THREADS  # an equal share per thread
-        if type(bit_gen) is not np.random.PCG64 or _DRAW_THREADS < 2 or blocks < 2:
-            _fill_block(rng, self.biases, codes, 0)
-            return codes
         state = bit_gen.state
         bounds = [count * k // blocks for k in range(blocks + 1)]
-        pool = _draw_pool()
-        jobs = [
-            pool.submit(_fill_positioned, state, a, self.biases, codes[a:b], count - (b - a))
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        for job in jobs:
-            job.result()
+
+        def fill(a: int, b: int) -> None:
+            # a private copy of the stream, positioned at a: numpy only
+            block = np.random.PCG64(0)
+            block.state = state
+            block.advance(a)
+            _fill_block(np.random.Generator(block), self.biases, codes[a:b], count - (b - a))
+
+        _draw_map(count, fill, bounds, bounds[1:])
         bit_gen.advance(self.n * count)
         # advance() drops a pending 32-bit half, which doubles never touch.
         half = {key: state[key] for key in ("has_uint32", "uinteger")}
@@ -183,19 +186,28 @@ if hasattr(os, "sched_getaffinity"):
     _DRAW_THREADS = len(os.sched_getaffinity(0))
 else:
     _DRAW_THREADS = os.cpu_count() or 1
-# The pool also runs the exact engine's per-coordinate influence reductions.
 _DRAW_POOL: list[ThreadPoolExecutor] = []  # at most one, made on first use
 if hasattr(os, "register_at_fork"):
     # A forked child inherits the pool object but none of its threads.
     os.register_at_fork(after_in_child=_DRAW_POOL.clear)
 
 
-def _draw_pool() -> ThreadPoolExecutor:
-    # Callers racing on the first draw can add a second pool; it stays
+def _pooled(points: int) -> bool:
+    """Whether work over ``points`` points goes to the draw threads (see
+    the module docstring)."""
+    return _DRAW_THREADS >= 2 and points >= 2 * _MIN_BLOCK
+
+
+def _draw_map(points: int, fn: Callable, *iterables) -> list:
+    """``list(map(fn, *iterables))``, on the draw threads when work over
+    ``points`` points goes to them and inline otherwise."""
+    if not _pooled(points):
+        return list(map(fn, *iterables))
+    # Callers racing on the first use can add a second pool; it stays
     # unused and, never given work, starts no thread.
     if not _DRAW_POOL:
         _DRAW_POOL.append(ThreadPoolExecutor(_DRAW_THREADS, "greedytree-draw"))
-    return _DRAW_POOL[0]
+    return list(_DRAW_POOL[0].map(fn, *iterables))
 
 
 def _fill_block(
@@ -208,17 +220,6 @@ def _fill_block(
         if i and skip:
             rng.bit_generator.advance(skip)
         codes |= (rng.random(len(codes)) < p).astype(np.uint64) << np.uint64(i)
-
-
-def _fill_positioned(
-    state: dict, start: int, biases: Sequence[float], codes: np.ndarray, skip: int
-) -> None:
-    """``_fill_block`` on a private PCG64 copy of ``state`` advanced by
-    ``start``; touches nothing but numpy, the copy and ``codes``."""
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = state
-    bit_gen.advance(start)
-    _fill_block(np.random.Generator(bit_gen), biases, codes, skip)
 
 
 def _coordinate(value) -> int:
@@ -640,7 +641,12 @@ class TargetOracle:
         return None
 
     def label(self, x: Sequence[int]) -> int:
-        return int(self.label_codes(pack_bits(np.asarray(x)))[0])
+        """The target's value at the 0/1 point ``x``; a point that is not
+        n coordinates long is refused with a ValueError."""
+        x = np.asarray(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"point has shape {x.shape}, not ({self.n},)")
+        return int(self.label_codes(pack_bits(x))[0])
 
 
 TABLE_MAX_COORDS = 24

@@ -23,14 +23,13 @@ with its partner across that coordinate; the influence reduction and
 :func:`split_children` both read them that way.
 
 The reduction spends one compare and one masked gather of weights per
-free coordinate, and the coordinates are independent.  On an enumeration
-of at least two draw blocks (2^16 points) they are dealt round-robin to
-the draw threads of :mod:`greedytree.core`: the calling thread reduces
-the first share while the pool reduces the rest, so a 2-CPU machine runs
-two coordinates at a time.  Every coordinate's value comes from the same
-expression on either path, so the results are bit-identical.  A leaf with
-constant labels reduces no coordinate: each keeps 0.0, which is what its
-reduction would give.
+free coordinate, and the coordinates are independent.  Each gathered
+weight sum is taken on the draw threads when :mod:`greedytree.core`'s rule
+sends an enumeration of that many points there, and inline otherwise; the
+calling thread then fills in every coordinate in order from the same
+sums, so the results are bit-identical.  A leaf with constant labels
+reduces no coordinate: each keeps 0.0, which is what its reduction would
+give.
 
 Leaf pairs.  A target given as a decision tree (an oracle whose
 ``compiled_leaves`` is not None) partitions the cube into subcubes, one per
@@ -236,36 +235,25 @@ def _summarize(
 
     Every free coordinate is reduced, and none when the labels are
     constant: then each keeps 0.0, the sum of an empty gather.  Large
-    enumerations also reduce on the draw threads (see the module
-    docstring).
+    enumerations gather on the draw threads (see the module docstring).
     """
     mu_plus = float(np.sum(weights[labels > 0]))
     infl = np.zeros(dist.n)
     flip = np.zeros(dist.n)
-    positions = list(range(len(free))) if labels.min() != labels.max() else []
+    if labels.min() == labels.max():
+        return SubfunctionSummary(mu_plus, infl, flip, labels)
 
-    def reduce(share: list[int]) -> None:
+    def gathered(t: int) -> float:
         # numpy only: no oracle, nothing a tracer wraps
-        for t in share:
-            i = free[t]
-            lab = labels.reshape(-1, 2, 1 << t)
-            wgt = weights.reshape(-1, 2, 1 << t)
-            disagree = lab[:, 0, :] != lab[:, 1, :]
-            gathered = wgt[:, 0, :][disagree]
-            p = dist.biases[i]
-            # weight of the other coordinates = bit-0 slice with its (1-p) factor removed
-            d = float(np.sum(gathered)) / (1.0 - p)
-            flip[i] = d
-            infl[i] = 2.0 * p * (1.0 - p) * d
+        lab = labels.reshape(-1, 2, 1 << t)
+        wgt = weights.reshape(-1, 2, 1 << t)
+        return float(np.sum(wgt[:, 0, :][lab[:, 0, :] != lab[:, 1, :]]))
 
-    threads = core._DRAW_THREADS
-    shares = [positions]
-    if len(labels) >= 2 * core._MIN_BLOCK and threads >= 2:
-        shares = [positions[k::threads] for k in range(threads)]
-    jobs = [core._draw_pool().submit(reduce, share) for share in shares[1:] if share]
-    reduce(shares[0])
-    for job in jobs:
-        job.result()
+    for i, total in zip(free, core._draw_map(len(labels), gathered, range(len(free)))):
+        p = dist.biases[i]
+        # weight of the other coordinates = bit-0 slice with its (1-p) factor removed
+        flip[i] = total / (1.0 - p)
+        infl[i] = 2.0 * p * (1.0 - p) * flip[i]
     return SubfunctionSummary(mu_plus, infl, flip, labels)
 
 
@@ -444,10 +432,13 @@ def split_children(info: LeafInfo, dist: ProductDistribution) -> tuple[LeafInfo,
     already in the child's enumeration order, and every free coordinate is
     reduced again.  Either way no point is labeled again, and the children
     share one list of free coordinates.  A leaf with no free coordinate
-    (``coord`` -1) is refused with a ValueError.
+    (``coord`` -1), a coordinate outside ``range(dist.n)`` and one the leaf
+    already fixes are refused with a ValueError.
     """
     if info.coord < 0:
         raise ValueError(f"the leaf at {info.restriction} has no free coordinate to split")
+    if info.coord >= dist.n:
+        raise ValueError(f"coordinate {info.coord} out of range for n={dist.n}")
     fixed = info.restriction.coordinates() | {info.coord}
     child_free = [i for i in range(dist.n) if i not in fixed]
     free = np.array(child_free, dtype=np.intp)

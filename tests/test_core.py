@@ -124,6 +124,20 @@ class TestDrawStream:
         dist = ProductDistribution([0.3] * 4)
         self._assert_same_as_reference(dist, lambda: np.random.default_rng(2), np.int64(3 * BLOCK))
 
+    @pytest.mark.parametrize("count", [2 * BLOCK, 3 * BLOCK + 1, 4 * BLOCK, 5 * BLOCK + 7])
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_any_thread_count_matches_one_loop(self, monkeypatch, threads, count):
+        # 2 to 5 blocks before rounding to a multiple of the thread count
+        monkeypatch.setattr(core, "_DRAW_THREADS", threads)
+
+        def make_rng():
+            rng = np.random.default_rng([threads, count])
+            rng.random(dtype=np.float32)  # a pending half word
+            return rng
+
+        dist = ProductDistribution(np.random.default_rng(threads).uniform(0.05, 0.95, 20))
+        self._assert_same_as_reference(dist, make_rng, count)
+
     @pytest.mark.parametrize("count", [1, 2 * BLOCK + 1, 3 * BLOCK])
     def test_pending_half_word_survives(self, monkeypatch, count):
         # a float32 draw leaves half of a 64-bit output pending; advance() drops it
@@ -729,6 +743,19 @@ class TestOracles:
         for code in range(4):
             x = unpack_bits(np.array([code], dtype=np.uint64), 2)[0]
             assert oracle.label(x) == route(DEPTH2, x)
+
+    def test_label_refuses_a_point_of_another_length(self):
+        tree = DecisionTree(Internal(3, Leaf(-1), Leaf(1)))
+        tree_oracle = TreeOracle(tree, 8)
+        table_oracle = TruthTableOracle(tree_oracle.label_codes(np.arange(256, dtype=np.uint64)))
+        for oracle in (tree_oracle, table_oracle):
+            counted = CountingOracle(oracle)
+            for o in (oracle, counted):
+                assert o.label([0, 0, 0, 1, 0, 0, 0, 0]) == 1
+                for x in ([0, 1], [0, 0, 0, 1] + [0] * 6, [], [[0] * 8]):
+                    with pytest.raises(ValueError, match=r"not \(8,\)"):
+                        o.label(x)
+            assert counted.queries == 1
 
     def test_tree_oracle_dimension_check(self):
         with pytest.raises(ValueError):

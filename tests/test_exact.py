@@ -610,6 +610,23 @@ class TestPieceTable:
             with pytest.raises(ValueError, match="has no free coordinate to split"):
                 split_children(info, dist)
 
+    @pytest.mark.parametrize("kind", ["tree", "table"])
+    def test_coordinate_outside_the_cube_refuses_to_split(self, kind):
+        n = 8
+        oracle = TreeOracle(AND2, n)
+        assert _pairs_fit(oracle.compiled_leaves(), n)
+        if kind == "table":
+            oracle = TruthTableOracle(oracle.label_codes(np.arange(1 << n, dtype=np.uint64)))
+        dist = ProductDistribution([0.3] * n)
+        root = leaf_info(oracle, dist, Restriction())
+        assert (root.summary.pieces is None) == (kind == "table")
+        for c in (n, 63, 64):
+            with pytest.raises(ValueError, match=f"coordinate {c} out of range for n={n}"):
+                split_children(dataclasses.replace(root, coord=c), dist)
+        leaf = leaf_info(oracle, dist, Restriction({2: 1}))
+        with pytest.raises(ValueError, match="coordinate 2 already fixed"):
+            split_children(dataclasses.replace(leaf, coord=2), dist)
+
     def test_table_build_peaks_near_what_it_keeps(self):
         """The bound: a table keeps 8n bytes of factors a piece and 32 of
         other columns.  Building it holds on top one bool (pieces x n)
@@ -849,6 +866,38 @@ class TestThreadedReduction:
         assert len(leaves1) == len(leaves2) >= 3
         for a, b in zip(leaves1, leaves2):
             assert_same_leaf(a, b)
+
+    @pytest.mark.parametrize("m", [15, 16])
+    def test_one_rule_for_draws_and_reductions(self, monkeypatch, m):
+        """A draw of 2^m - 1 or 2^m points and the reduction of a 2^m-entry
+        table go to the pool from two draw blocks on, inline below, and
+        each result is that of one thread."""
+        pooled = 1 << m >= 2 * core._MIN_BLOCK
+        assert pooled == (m == 16)
+        dist = ProductDistribution(np.random.default_rng(m).uniform(0.05, 0.95, m))
+        view = SubfunctionView(generate_truth_table(m, np.random.default_rng(m)))
+
+        def run(threads, work):
+            monkeypatch.setattr(core, "_DRAW_THREADS", threads)
+            monkeypatch.setattr(core, "_DRAW_POOL", [])
+            result = work()
+            pools = list(core._DRAW_POOL)
+            for pool in pools:
+                pool.shutdown()
+            return result, bool(pools)
+
+        for count in ((1 << m) - 1, 1 << m):
+            draw = lambda: dist.draw_codes(np.random.default_rng(count), count)
+            (one, started1), (two, started2) = run(1, draw), run(2, draw)
+            assert not started1 and started2 == (pooled and count == 1 << m)
+            assert same_arrays(one, two)
+        (one, started1), (two, started2) = [
+            run(threads, lambda: subfunction_summary(view, dist)) for threads in (1, 2)
+        ]
+        assert not started1 and started2 == pooled
+        assert one.positive_mass == two.positive_mass
+        for f in ("influences", "flip_influences", "labels"):
+            assert same_arrays(getattr(one, f), getattr(two, f)), f
 
 
 class TestCost:
